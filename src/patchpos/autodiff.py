@@ -426,43 +426,26 @@ def _dilate(x: np.ndarray, stride: int) -> np.ndarray:
     return out
 
 
-def dilate2d(x: Tensor, stride: int) -> Tensor:
-    """Insert stride-1 zeros between spatial elements (no-op at stride 1)."""
-    if stride == 1:
-        return x
-    return Tensor(_dilate(x.data, stride), parents=(x,), op="dilate2d",
-                  backward=lambda g: (g[:, :, ::stride, ::stride],))
+def conv_transpose2d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
+    """Transposed convolution whose windows do not overlap (kernel size == stride).
 
-
-def pad2d(x: Tensor, p: int) -> Tensor:
-    if p == 0:
-        return x
-    return Tensor(np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))), parents=(x,), op="pad2d",
-                  backward=lambda g: (g[:, :, p:-p, p:-p],))
-
-
-def flip_kernel(w: Tensor) -> Tensor:
-    """Reverse spatial axes and swap in/out channel axes of a conv kernel."""
-    return Tensor(w.data[:, :, ::-1, ::-1].swapaxes(0, 1).copy(), parents=(w,), op="flip_kernel",
-                  backward=lambda g: (g.swapaxes(0, 1)[:, :, ::-1, ::-1].copy(),))
-
-
-def conv_transpose2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Transposed convolution (adjoint of conv2d).
-
-    ``x``: (B, Cin, H, W); ``kernel``: (Cin, Cout, kh, kw). Output spatial size
-    is (H-1)*stride + kh - 2*padding.
+    ``x``: (B, Cin, H, W); ``kernel``: (Cin, Cout, s, s); output (B, Cout, H*s, W*s).
+    Each input pixel paints one s x s block, so the op is one matmul
+    (B*H*W, Cin) @ (Cin, Cout*s*s) followed by a pixel shuffle.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv_transpose2d expects 4-d input/kernel, got {x.shape}, {kernel.shape}")
     if x.shape[1] != kernel.shape[0]:
         raise ShapeError(f"conv_transpose2d channel mismatch: input {x.shape[1]}, kernel {kernel.shape[0]}")
-    kh = kernel.shape[2]
-    if kh - 1 - padding < 0:
-        raise ShapeError("conv_transpose2d padding may not exceed kernel size - 1")
-    xd = dilate2d(x, stride)
-    xp = pad2d(xd, kh - 1 - padding)
-    return conv2d(xp, flip_kernel(kernel), stride=1, padding=0)
+    s = stride
+    if kernel.shape[2:] != (s, s):
+        raise ShapeError(f"conv_transpose2d needs kernel size == stride, got a "
+                         f"{kernel.shape[2]}x{kernel.shape[3]} kernel at stride {s}")
+    B, cin, H, W = x.shape
+    cout = kernel.shape[1]
+    cols = x.transpose((0, 2, 3, 1)).reshape(B * H * W, cin) @ kernel.reshape(cin, cout * s * s)
+    out = cols.reshape(B, H, W, cout, s, s).transpose((0, 3, 1, 4, 2, 5))
+    return out.reshape(B, cout, H * s, W * s)
 
 
 # -- gradient checking -------------------------------------------------------

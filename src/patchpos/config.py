@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -37,6 +38,14 @@ def _coerce(name, value: str, typ):
         return typ(value)
     except (KeyError, ValueError) as e:
         raise ConfigFileError(f"config key '{name}': cannot parse '{value}' as {typ.__name__}") from e
+
+
+def _require_positive(cfg, *names):
+    """Raise ConfigFileError naming the first key that is not a positive finite number."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigFileError(f"config key '{name}' must be positive and finite, got {value}")
 
 
 def from_mapping(cls, mapping: dict[str, str]):
@@ -98,6 +107,8 @@ class PretrainConfig:
     noise_reference: bool = False   # debug: replace reference pixels with noise
 
     def __post_init__(self):
+        _require_positive(self, "batch_size", "h_ref", "h_q", "patch_size", "num_prototypes",
+                          "tau", "log_every", "checkpoint_every_epochs")
         if self.h_ref % self.patch_size or self.h_q % self.patch_size:
             raise ConfigFileError("view sizes must be divisible by patch_size")
         if not 0.0 <= self.eta <= 1.0:
@@ -149,6 +160,9 @@ class FinetuneConfig:
     eval_every: int = 25
     runs: int = 1
     same_group_masking: bool = False
+
+    def __post_init__(self):
+        _require_positive(self, "classes", "batch_size", "eval_every")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -76,14 +76,12 @@ class PretrainModel:
             q_specs = sample_query_views(
                 img, ref_spec, cfg.queries_per_ref, rng,
                 (cfg.q_scale_min, cfg.q_scale_max), cfg.h_q, cfg.patch_size, cfg.flip_prob)
-            ref_view = materialize_view(img, ref_spec)
+            ref_view = materialize_view(img, ref_spec).data
             if noise_rng is not None:
-                ref_view = RasterImage(
-                    noise_rng.standard_normal(ref_view.data.shape).astype(np.float32),
-                    ref_view.channel_tags)
+                ref_view = noise_rng.standard_normal(ref_view.shape).astype(np.float32)
             refs.append(patchify(ref_view, cfg.patch_size))
-            queries.append(np.stack([patchify(materialize_view(img, s), cfg.patch_size)
-                                     for s in q_specs]))
+            queries.append(patchify(np.stack([materialize_view(img, s).data for s in q_specs]),
+                                    cfg.patch_size))
             corrs.extend(compute_correspondence(s, ref_spec) for s in q_specs)
         return np.stack(refs), np.stack(queries), corrs
 

@@ -1,4 +1,4 @@
-"""Light transposed-convolution decoder, finetuning, and IoU metrics."""
+"""Light upsampling decoder, finetuning, and IoU metrics."""
 from __future__ import annotations
 
 import logging
@@ -24,9 +24,12 @@ log = logging.getLogger(__name__)
 
 
 class LightDecoder:
-    """Four upsampling layers (stride-2 transposed convolutions, padded out
-    with stride-1 convolutions when the patch size needs fewer doublings)
-    plus a final 1x1 classification convolution."""
+    """Four layers plus a final 1x1 classification convolution.
+
+    Each "up" layer is a 2x2 transposed convolution at stride 2, computed as
+    one matmul plus a pixel shuffle (``conv_transpose2d`` accepts only
+    kernel size == stride). When the patch size needs fewer doublings, the
+    remaining layers are 3x3 "same" convolutions."""
 
     def __init__(self, rng, width: int, patch: int, classes: int, dtype=np.float32):
         ups = int(round(math.log2(patch)))
@@ -66,7 +69,7 @@ class LightDecoder:
         x = grid
         for kind, w, b in self.layers:
             if kind == "up":
-                x = conv_transpose2d(x, w, stride=2, padding=0)
+                x = conv_transpose2d(x, w, stride=2)
             else:
                 x = conv2d(x, w, stride=1, padding=1)
             x = gelu(x + b.reshape(1, b.shape[0], 1, 1))
@@ -112,12 +115,9 @@ class SegmentationModel:
     def forward(self, images: np.ndarray) -> Tensor:
         """(B, C, H, W) standardized images -> (B, classes, H, W) logits."""
         cfg = self.cfg
-        B, C, H, W = images.shape
+        B, _, H, W = images.shape
         gh, gw = H // cfg.patch_size, W // cfg.patch_size
-        if gh * cfg.patch_size != H or gw * cfg.patch_size != W:
-            raise ValueError(f"{H}x{W} images not divisible by patch {cfg.patch_size}")
-        patches = np.stack([
-            patchify(_as_raster(images[i]), cfg.patch_size) for i in range(B)])
+        patches = patchify(images, cfg.patch_size)          # (B, N, C, P, P)
         tokens = self.embedder(patches)                      # (B, G*N, d)
         tokens = self.encoding(tokens, gh, gw)
         mode = "same-group-exclusion" if self.same_group_masking else "none"
@@ -127,11 +127,6 @@ class SegmentationModel:
         z = z.reshape(B, g, n, cfg.width).mean(axis=1)       # all groups kept, averaged
         grid = z.reshape(B, gh, gw, cfg.width).transpose((0, 3, 1, 2))
         return self.decoder(grid)
-
-
-def _as_raster(x: np.ndarray):
-    from .views import RasterImage
-    return RasterImage(x, [f"c{i}" for i in range(x.shape[0])])
 
 
 def pixel_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_label: int = -1) -> Tensor:
@@ -263,10 +258,11 @@ def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
         opt.step(lr=cosine_lr(step, cfg.steps, cfg.lr, warmup))
         if (step + 1) % cfg.eval_every == 0:
             line = f"step={step + 1} train_loss={float(loss.data):.6f}"
-            if val_x is not None and miou_threshold is not None and steps_to_threshold is None:
+            if val_x is not None:
                 _, vm = evaluate(model, val_x, val_y, cfg.ignore_label)
                 line += f" val_miou={'none' if vm is None else f'{vm:.4f}'}"
-                if vm is not None and vm >= miou_threshold:
+                if (miou_threshold is not None and steps_to_threshold is None
+                        and vm is not None and vm >= miou_threshold):
                     steps_to_threshold = step + 1
             if log_stream is not None:
                 print(line, file=log_stream)

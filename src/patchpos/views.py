@@ -207,14 +207,18 @@ def compute_correspondence(q: ViewSpec, ref: ViewSpec) -> Correspondence:
     return Correspondence(h)
 
 
-def patchify(view: RasterImage, patch: int) -> np.ndarray:
-    """Split (C, H, W) into row-major (N, C, P, P) patches."""
-    C, H, W = view.data.shape
+def patchify(x: np.ndarray, patch: int) -> np.ndarray:
+    """Split (..., C, H, W) into row-major (..., N, C, P, P) patches."""
+    if x.ndim < 3:
+        raise ValueError(f"patchify expects (..., C, H, W), got shape {x.shape}")
+    *lead, C, H, W = x.shape
     if H % patch or W % patch:
         raise ValueError(f"{H}x{W} not divisible by patch size {patch}")
     gh, gw = H // patch, W // patch
-    x = view.data.reshape(C, gh, patch, gw, patch)
-    return x.transpose(1, 3, 0, 2, 4).reshape(gh * gw, C, patch, patch)
+    k = len(lead)
+    x = x.reshape(*lead, C, gh, patch, gw, patch)
+    x = x.transpose(*range(k), k + 1, k + 3, k, k + 2, k + 4)
+    return x.reshape(*lead, gh * gw, C, patch, patch)
 
 
 def unpatchify(patches: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:

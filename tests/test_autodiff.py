@@ -1,6 +1,8 @@
 """Finite-difference gradient checks and shape handling for the tensor engine."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchpos import autodiff as ad
 from patchpos.autodiff import Tensor
@@ -151,30 +153,54 @@ def test_conv_transpose2d():
     out = ad.conv_transpose2d(x, w, stride=2)
     assert out.shape == (2, 2, 8, 8)
     check(lambda x, w: (ad.conv_transpose2d(x, w, stride=2) ** 2).sum(), x, w)
-    check(lambda x, w: ad.conv_transpose2d(x, w, stride=1, padding=1).sum(),
-          t64(rng, 1, 3, 4, 4), t64(rng, 3, 2, 3, 3))
+
+
+def paint_blocks(x, k):
+    """Loop reference: input pixel (i, j) paints k-weighted s x s block (i, j)."""
+    B, cin, H, W = x.shape
+    _, cout, s, _ = k.shape
+    out = np.zeros((B, cout, H * s, W * s))
+    for b in range(B):
+        for i in range(H):
+            for j in range(W):
+                for c in range(cin):
+                    out[b, :, i * s:(i + 1) * s, j * s:(j + 1) * s] += x[b, c, i, j] * k[c]
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(s=st.sampled_from([1, 2, 4]), b=st.integers(1, 2), cin=st.integers(1, 4),
+       cout=st.integers(1, 3), h=st.integers(1, 4), w=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_conv_transpose2d_paints_blocks(s, b, cin, cout, h, w, seed):
+    # small integers keep every sum exact, so the comparison is bit-for-bit
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-8, 9, size=(b, cin, h, w)).astype(np.float64)
+    k = rng.integers(-8, 9, size=(cin, cout, s, s)).astype(np.float64)
+    out = ad.conv_transpose2d(Tensor(x), Tensor(k), stride=s).data
+    assert np.array_equal(out, paint_blocks(x, k))
+
+
+def test_conv_transpose2d_shape_errors():
+    x = Tensor(np.zeros((1, 3, 4, 4)))
+    with pytest.raises(ad.ShapeError, match="kernel size == stride"):
+        ad.conv_transpose2d(x, Tensor(np.zeros((3, 2, 3, 3))), stride=2)
+    with pytest.raises(ad.ShapeError, match="kernel size == stride"):
+        ad.conv_transpose2d(x, Tensor(np.zeros((3, 2, 2, 2))), stride=1)
+    with pytest.raises(ad.ShapeError, match="channel mismatch"):
+        ad.conv_transpose2d(x, Tensor(np.zeros((2, 2, 2, 2))), stride=2)
 
 
 def test_conv_transpose_matches_adjoint():
     # <conv(x), y> == <x, conv_transpose(y)> for matching shapes
     rng = np.random.default_rng(15)
     x = rng.standard_normal((1, 2, 6, 6))
-    w = rng.standard_normal((3, 2, 3, 3))
-    y = rng.standard_normal((1, 3, 2, 2))
+    w = rng.standard_normal((3, 2, 2, 2))
+    y = rng.standard_normal((1, 3, 3, 3))
     fwd = ad.conv2d(Tensor(x), Tensor(w), stride=2, padding=0).data
-    adj = ad.conv_transpose2d(Tensor(y), Tensor(w), stride=2, padding=0).data
-    # the stride-2 windows never touch row/column 5, so the adjoint output is
-    # 5x5 and those source entries contribute nothing
-    assert np.isclose((fwd * y).sum(), (x[:, :, :5, :5] * adj).sum(), rtol=1e-10)
-
-
-def test_dilate_pad_flip():
-    rng = np.random.default_rng(16)
-    x = t64(rng, 1, 2, 3, 3)
-    check(lambda x: (ad.dilate2d(x, 2) * 2.0).sum(), x)
-    check(lambda x: (ad.pad2d(x, 2) ** 2).sum(), x)
-    w = t64(rng, 2, 3, 2, 2)
-    check(lambda w: (ad.flip_kernel(w) ** 3).sum(), w)
+    adj = ad.conv_transpose2d(Tensor(y), Tensor(w), stride=2).data
+    assert adj.shape == x.shape
+    assert np.isclose((fwd * y).sum(), (x * adj).sum(), rtol=1e-10)
 
 
 def test_dropout():

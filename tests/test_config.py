@@ -78,3 +78,21 @@ def test_finetune_config_from_file(tmp_path):
     p.write_text("dataset = d.mmr\nlabels = d.lbl\nsteps = 50\nval_fraction = 0.5\n")
     cfg = FinetuneConfig.from_file(p)
     assert cfg.steps == 50 and cfg.val_fraction == 0.5 and cfg.classes == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", 0), ("log_every", 0), ("checkpoint_every_epochs", 0), ("tau", 0.0),
+    ("tau", float("inf")), ("h_ref", 0), ("h_q", 0), ("patch_size", 0),
+    ("num_prototypes", 0), ("batch_size", -1),
+])
+def test_pretrain_config_rejects_non_positive(key, value):
+    with pytest.raises(ConfigFileError, match=key):
+        PretrainConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eval_every", 0), ("batch_size", 0), ("classes", 0), ("eval_every", -5),
+])
+def test_finetune_config_rejects_non_positive(key, value):
+    with pytest.raises(ConfigFileError, match=key):
+        FinetuneConfig(**{key: value})

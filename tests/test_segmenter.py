@@ -1,4 +1,7 @@
 """Decoder geometry, pixel loss, IoU metrics, and finetune plumbing."""
+import io
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,26 @@ def test_finetune_end_to_end(tmp_path):
     loaded = load_finetuned(ckpt, ["B2", "B3"])
     x = np.random.default_rng(3).standard_normal((2, 2, 32, 32)).astype(np.float32)
     assert np.array_equal(res.model.forward(x).data, loaded.forward(x).data)
+
+
+def test_finetune_logs_val_miou_without_threshold(tmp_path):
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 8, 32, 32, ["B2"], 0)
+    pcfg = PretrainConfig(depth=1, width=16, heads=2)
+    fcfg = FinetuneConfig(dataset=str(img), labels=str(lbl), steps=4, batch_size=4,
+                          eval_every=2, val_fraction=0.25)
+    out = io.StringIO()
+    res = finetune(fcfg, pretrain_cfg=pcfg, seed=0, log_stream=out)
+    lines = out.getvalue().splitlines()
+    assert [line.split()[0] for line in lines] == ["step=2", "step=4"]
+    assert all(re.fullmatch(r"step=\d+ train_loss=\S+ val_miou=(none|\d\.\d{4})", line)
+               for line in lines)
+    assert res.steps_to_threshold is None
+
+    no_split = FinetuneConfig(**{**fcfg.to_dict(), "val_fraction": 0.0})
+    out = io.StringIO()
+    finetune(no_split, pretrain_cfg=pcfg, seed=0, log_stream=out)
+    assert "val_miou=" not in out.getvalue()
 
 
 def test_finetune_deterministic(tmp_path):

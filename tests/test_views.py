@@ -197,15 +197,28 @@ def test_sampling_errors():
 
 def test_patchify_roundtrip():
     rng = np.random.default_rng(7)
-    img = RasterImage(rng.standard_normal((3, 32, 48)).astype(np.float32), list("abc"))
+    img = rng.standard_normal((3, 32, 48)).astype(np.float32)
     patches = patchify(img, 8)
     assert patches.shape == (4 * 6, 3, 8, 8)
-    assert np.array_equal(unpatchify(patches, 4, 6), img.data)
+    assert np.array_equal(unpatchify(patches, 4, 6), img)
     # row-major: patch 1 is the block one patch to the right
-    assert np.array_equal(patches[1], img.data[:, 0:8, 8:16])
+    assert np.array_equal(patches[1], img[:, 0:8, 8:16])
+
+
+def test_patchify_leading_dims():
+    rng = np.random.default_rng(8)
+    batch = rng.standard_normal((2, 3, 4, 16, 24)).astype(np.float32)
+    patches = patchify(batch, 8)
+    assert patches.shape == (2, 3, 2 * 3, 4, 8, 8)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(patches[i, j], patchify(batch[i, j], 8))
 
 
 def test_patchify_rejects_indivisible():
-    img = RasterImage(np.zeros((1, 30, 32), dtype=np.float32), ["B2"])
     with pytest.raises(ValueError):
-        patchify(img, 8)
+        patchify(np.zeros((1, 30, 32), dtype=np.float32), 8)
+    with pytest.raises(ValueError):
+        patchify(np.zeros((2, 3, 30, 32), dtype=np.float32), 8)
+    with pytest.raises(ValueError):
+        patchify(np.zeros((32, 32), dtype=np.float32), 8)
