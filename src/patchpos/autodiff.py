@@ -11,7 +11,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 
 class ShapeError(ValueError):
@@ -238,11 +237,35 @@ def sqrt(x: Tensor) -> Tensor:
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
+# Abramowitz & Stegun 7.1.26: erf(x) = 1 - (a1 t + ... + a5 t^5) exp(-x^2),
+# t = 1 / (1 + p x) for x >= 0, with absolute error at most 1.5e-7.
+_ERF_P = 0.3275911
+_ERF_A = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf from numpy ufuncs, in the dtype of ``x`` (A&S 7.1.26, odd extension)."""
+    a = np.abs(x)
+    t = a * _ERF_P
+    t += 1.0
+    np.reciprocal(t, out=t)
+    y = t * _ERF_A[0]
+    for coef in _ERF_A[1:]:     # Horner steps, in place
+        y += coef
+        y *= t
+    np.square(a, out=a)
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    y *= a
+    np.subtract(1.0, y, out=y)
+    return np.copysign(y, x, out=y)
+
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Erf-based GELU; erf follows Abramowitz & Stegun 7.1.26, whose absolute
+    error is at most 1.5e-7 (plus float32 rounding on float32 inputs)."""
     xd = x.data
-    e = erf(xd * _INV_SQRT2).astype(xd.dtype, copy=False)
+    e = _erf(xd * _INV_SQRT2)
     out_data = 0.5 * xd * (1.0 + e)
 
     def bwd(g):
@@ -267,6 +290,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (ga, gb)
 
     return Tensor(np.matmul(a.data, b.data), parents=(a, b), op="matmul", backward=bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` over the last axis of ``x``.
+
+    ``x``: (..., d_in); ``w``: (d_in, d_out); ``b``: (d_out,). The leading
+    dimensions are flattened into rows, so forward is one GEMM and backward
+    is one GEMM each for the input and weight gradients plus a row sum.
+    """
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear expects x (..., d_in), w (d_in, d_out), b (d_out,), "
+                         f"got {x.shape}, {w.shape}, {b.shape}")
+    d_in, d_out = w.shape
+    x2 = x.data.reshape(-1, d_in)
+
+    def bwd(g):
+        g2 = g.reshape(-1, d_out)
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        return (gx, x2.T @ g2, g2.sum(axis=0))
+
+    out = x2 @ w.data + b.data
+    return Tensor(out.reshape(x.shape[:-1] + (d_out,)), parents=(x, w, b), op="linear",
+                  backward=bwd)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:

@@ -108,7 +108,7 @@ class PretrainConfig:
 
     def __post_init__(self):
         _require_positive(self, "batch_size", "h_ref", "h_q", "patch_size", "num_prototypes",
-                          "tau", "log_every", "checkpoint_every_epochs")
+                          "tau", "lr", "log_every", "checkpoint_every_epochs")
         if self.h_ref % self.patch_size or self.h_q % self.patch_size:
             raise ConfigFileError("view sizes must be divisible by patch_size")
         if not 0.0 <= self.eta <= 1.0:
@@ -162,7 +162,7 @@ class FinetuneConfig:
     same_group_masking: bool = False
 
     def __post_init__(self):
-        _require_positive(self, "classes", "batch_size", "eval_every")
+        _require_positive(self, "classes", "batch_size", "lr", "eval_every")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

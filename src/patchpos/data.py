@@ -18,7 +18,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .views import RasterImage
 
@@ -69,18 +68,27 @@ def write_dataset(path, samples: np.ndarray, channel_tags: list[str]):
         f.write(samples.tobytes())
 
 
+def _read_exact(f, n: int) -> bytes:
+    """Exactly ``n`` header bytes from ``f``, or FormatError naming the file."""
+    raw = f.read(n)
+    if len(raw) != n:
+        raise FormatError(f"{getattr(f, 'name', f)}: truncated header "
+                          f"(needed {n} bytes at offset {f.tell() - len(raw)}, got {len(raw)})")
+    return raw
+
+
 def read_header(f) -> DatasetHeader:
     magic = f.read(8)
     if magic != RASTER_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {RASTER_MAGIC!r}")
-    version, count, C, H, W = struct.unpack("<IIIII", f.read(20))
+    version, count, C, H, W = struct.unpack("<IIIII", _read_exact(f, 20))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
     tags = []
     for _ in range(C):
-        (n,) = struct.unpack("<H", f.read(2))
-        tags.append(f.read(n).decode("utf-8"))
-    stats = np.frombuffer(f.read(16 * C), dtype="<f8").reshape(C, 2)
+        (n,) = struct.unpack("<H", _read_exact(f, 2))
+        tags.append(_read_exact(f, n).decode("utf-8"))
+    stats = np.frombuffer(_read_exact(f, 16 * C), dtype="<f8").reshape(C, 2)
     return DatasetHeader(count, C, H, W, tags, stats[:, 0].copy(), stats[:, 1].copy())
 
 
@@ -124,6 +132,7 @@ class DatasetReader:
 # -- synthetic content -------------------------------------------------------
 
 def _smooth_field(rng, h, w, sigma):
+    from scipy.ndimage import gaussian_filter  # keeps scipy out of `import patchpos`
     f = gaussian_filter(rng.standard_normal((h, w)), sigma, mode="wrap")
     return (f / max(f.std(), 1e-8)).astype(np.float64)
 
@@ -209,7 +218,7 @@ def read_labels(path) -> np.ndarray:
         magic = f.read(8)
         if magic != LABEL_MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {LABEL_MAGIC!r}")
-        version, count, H, W = struct.unpack("<IIII", f.read(16))
+        version, count, H, W = struct.unpack("<IIII", _read_exact(f, 16))
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported format version {version}")
         payload = np.frombuffer(f.read(), dtype=np.int8)
@@ -224,6 +233,8 @@ def generate_synthetic_segmentation(image_path, label_path, count: int, height: 
     """Images plus two-class masks: class 1 where a smoothed mix of the first
     channels exceeds its per-sample median (a toy flooded/dry split that is a
     deterministic function of the image content)."""
+    from scipy.ndimage import gaussian_filter
+
     generate_synthetic_dataset(image_path, count, height, width, channel_tags, seed, mode=mode)
     reader = DatasetReader(image_path)
     labels = np.empty((count, height, width), dtype=np.int8)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, gelu, layernorm
+from .autodiff import Tensor, gelu, layernorm, linear
 
 
 def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -20,7 +20,7 @@ class Linear:
         self.w, self.b = init_linear(rng, fan_in, fan_out, dtype=dtype, std=std)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.w + self.b
+        return linear(x, self.w, self.b)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}

@@ -148,24 +148,16 @@ class ClusterHead:
         """Prototype similarities of projected, normalized representations / tau."""
         return (self.project(z) @ self.prototypes.swapaxes(0, 1)) * (1.0 / self.tau)
 
-    def _project_np(self, z: np.ndarray) -> np.ndarray:
-        # detached copy of project(), for the stop-gradient label branch
-        h = z @ self.fc1.w.data + self.fc1.b.data
-        from scipy.special import erf
-        h = 0.5 * h * (1.0 + erf(h * 0.7071067811865476))
-        p = h @ self.fc2.w.data + self.fc2.b.data
-        return p / np.maximum(np.linalg.norm(p, axis=-1, keepdims=True), 1e-12)
-
 
 def pseudo_labels(z_ref: np.ndarray, head: ClusterHead, positions: np.ndarray,
                   iterations: int = 3) -> np.ndarray:
     """Balanced soft cluster targets for the reference rows at ``positions``.
 
-    Runs entirely on detached values; no gradient flows into the label
-    branch.
+    The rows enter ``project()`` as a constant and only the values of its
+    output are kept, so no gradient flows into the label branch.
     """
     rows = np.asarray(z_ref)[positions]
-    proj = head._project_np(rows)
+    proj = head.project(Tensor(rows)).data
     sims = proj @ head.prototypes.data.T
     return sinkhorn_knopp(sims, iterations=iterations, tau=head.tau)
 

@@ -9,6 +9,7 @@ centers falling inside both footprints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,22 +131,35 @@ def sample_query_views(image: RasterImage, ref: ViewSpec, count: int,
     return specs
 
 
+@lru_cache(maxsize=None)
+def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """Read-only (n_out, n_in) float32 bilinear weights with half-pixel-centred
+    sampling; row i mixes the two source samples nearest output centre i."""
+    c = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    i0 = np.clip(np.floor(c).astype(np.int64), 0, n_in - 1)
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    w = np.clip(c - i0, 0.0, 1.0)
+    m = np.zeros((n_out, n_in))
+    rows = np.arange(n_out)
+    np.add.at(m, (rows, i0), 1.0 - w)
+    np.add.at(m, (rows, i1), w)     # i0 == i1 at the last source sample
+    m = m.astype(np.float32)
+    m.flags.writeable = False
+    return m
+
+
 def _resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample of (C, H, W) with half-pixel-centred sampling."""
+    """Bilinear resample of (C, H, W) with half-pixel-centred sampling.
+
+    Bilinear interpolation is separable, so the resample is two matmuls,
+    ``R_y @ x @ R_xᵀ``, with the interpolation matrices from
+    :func:`_interp_matrix`.
+    """
     C, H, W = x.shape
     if (out_h, out_w) == (H, W):
         return x.copy()
-    ys = (np.arange(out_h) + 0.5) * (H / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (W / out_w) - 0.5
-    y0 = np.clip(np.floor(ys).astype(np.int64), 0, H - 1)
-    x0 = np.clip(np.floor(xs).astype(np.int64), 0, W - 1)
-    y1 = np.clip(y0 + 1, 0, H - 1)
-    x1 = np.clip(x0 + 1, 0, W - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, None, :]
-    top = x[:, y0[:, None], x0[None, :]] * (1 - wx) + x[:, y0[:, None], x1[None, :]] * wx
-    bot = x[:, y1[:, None], x0[None, :]] * (1 - wx) + x[:, y1[:, None], x1[None, :]] * wx
-    return (top * (1 - wy) + bot * wy).astype(x.dtype, copy=False)
+    out = _interp_matrix(H, out_h) @ (x @ _interp_matrix(W, out_w).T)
+    return out.astype(x.dtype, copy=False)
 
 
 def materialize_view(image: RasterImage, spec: ViewSpec) -> RasterImage:

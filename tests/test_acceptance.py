@@ -131,6 +131,9 @@ def test_criterion_2_gradient_suite():
     add("cluster_loss", cluster_fn, zq, chead.fc1.w, chead.fc1.b, chead.fc2.w,
         chead.fc2.b, chead.prototypes)
 
+    lx, lw, lb = t(2, 3, 4), t(4, 5), t(5)
+    add("linear", lambda lx, lw, lb: (ad.linear(lx, lw, lb) ** 2).sum(), lx, lw, lb)
+
     elapsed = time.time() - t0
     worst = max(checks.values())
     worst_name = max(checks, key=checks.get)

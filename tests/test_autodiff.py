@@ -48,6 +48,47 @@ def test_matmul_shape_errors():
         ad.matmul(a, Tensor(np.zeros(4)))
 
 
+def test_linear():
+    rng = np.random.default_rng(17)
+    x, w, b = t64(rng, 2, 3, 4), t64(rng, 4, 5), t64(rng, 5)
+    out = ad.linear(x, w, b)
+    assert out.shape == (2, 3, 5)
+    assert np.allclose(out.data, x.data @ w.data + b.data)
+    check(lambda x, w, b: (ad.linear(x, w, b) ** 2).sum(), x, w, b)
+    v = t64(rng, 4)
+    check(lambda v, w, b: (ad.linear(v, w, b) ** 2).sum(), v, w, b)
+
+
+def test_linear_skips_constant_input_grad():
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.standard_normal((3, 4)))
+    w, b = t64(rng, 4, 2), t64(rng, 2)
+    ad.linear(x, w, b).sum().backward()
+    assert x.grad is None
+    assert np.allclose(w.grad, x.data.sum(axis=0)[:, None] * np.ones((1, 2)))
+    assert np.allclose(b.grad, 3.0)
+
+
+def test_linear_shape_errors():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ad.ShapeError, match="linear"):
+        ad.linear(x, Tensor(np.zeros((3, 5))), Tensor(np.zeros(5)))
+    with pytest.raises(ad.ShapeError, match="linear"):
+        ad.linear(x, Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
+    with pytest.raises(ad.ShapeError, match="linear"):
+        ad.linear(x, Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros(5)))
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.float64, 2e-7), (np.float32, 1e-6)])
+def test_erf_matches_scipy(dtype, bound):
+    from scipy.special import erf
+    x = np.linspace(-10.0, 10.0, 200_001).astype(dtype)
+    got = ad._erf(x)
+    assert got.dtype == dtype
+    assert np.abs(got - erf(x.astype(np.float64))).max() <= bound
+    assert np.array_equal(ad._erf(-x), -got)        # odd
+
+
 def test_getitem():
     rng = np.random.default_rng(3)
     a = t64(rng, 4, 6)

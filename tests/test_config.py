@@ -83,7 +83,8 @@ def test_finetune_config_from_file(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("batch_size", 0), ("log_every", 0), ("checkpoint_every_epochs", 0), ("tau", 0.0),
     ("tau", float("inf")), ("h_ref", 0), ("h_q", 0), ("patch_size", 0),
-    ("num_prototypes", 0), ("batch_size", -1),
+    ("num_prototypes", 0), ("batch_size", -1), ("lr", 0.0), ("lr", -1e-3),
+    ("lr", float("nan")), ("lr", float("inf")),
 ])
 def test_pretrain_config_rejects_non_positive(key, value):
     with pytest.raises(ConfigFileError, match=key):
@@ -92,6 +93,7 @@ def test_pretrain_config_rejects_non_positive(key, value):
 
 @pytest.mark.parametrize("key, value", [
     ("eval_every", 0), ("batch_size", 0), ("classes", 0), ("eval_every", -5),
+    ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
 ])
 def test_finetune_config_rejects_non_positive(key, value):
     with pytest.raises(ConfigFileError, match=key):

@@ -1,4 +1,8 @@
 """Binary dataset/label formats and the synthetic generator."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -49,6 +53,37 @@ def test_truncated_payload_raises(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(FormatError, match="payload"):
         DatasetReader(path)
+
+
+@pytest.mark.parametrize("cut", [8, 14, 28, 31, 40])
+def test_truncated_header_raises(tmp_path, cut):
+    # 8: no version block, 14: mid-version block, 28: no tag length,
+    # 31: mid-tag, 40: mid-statistics
+    path = tmp_path / "trunc.mmr"
+    write_dataset(path, np.zeros((2, 1, 4, 4), dtype=np.float32), ["B12"])
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(FormatError, match="trunc.mmr: truncated header"):
+        DatasetReader(path)
+
+
+@pytest.mark.parametrize("cut", [8, 15])
+def test_truncated_label_header_raises(tmp_path, cut):
+    path = tmp_path / "trunc.lbl"
+    write_labels(path, np.zeros((2, 4, 4), dtype=np.int8))
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(FormatError, match="trunc.lbl: truncated header"):
+        read_labels(path)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is needed only to generate synthetic data
+    import patchpos
+    src = os.path.dirname(os.path.dirname(patchpos.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, patchpos; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_tag_count_mismatch():

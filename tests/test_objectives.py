@@ -152,15 +152,10 @@ def test_cluster_logits_temperature():
     assert np.allclose(np.linalg.norm(proj, axis=1), 1.0, atol=1e-5)
 
 
-def test_project_np_matches_tensor_path():
-    head = ClusterHead(np.random.default_rng(13), width=6, num_prototypes=4)
-    z = np.random.default_rng(14).standard_normal((7, 6)).astype(np.float32)
-    assert np.allclose(head._project_np(z), head.project(Tensor(z)).data, atol=1e-5)
-
-
 def test_pseudo_labels_stop_gradient():
-    # Labels come from a numpy-only path: no Tensor in the result, and the
-    # cluster loss gradient w.r.t. the reference encoding is structurally zero.
+    # Labels are plain arrays taken from the projection's values: no Tensor in
+    # the result, and the cluster loss gradient w.r.t. the reference encoding
+    # is structurally zero.
     head = ClusterHead(np.random.default_rng(15), width=6, num_prototypes=4)
     z_ref = np.random.default_rng(16).standard_normal((10, 6)).astype(np.float32)
     labels = pseudo_labels(z_ref, head, np.array([0, 3, 3, 9]))

@@ -2,9 +2,11 @@
 brute-force pixel-rasterization oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchpos.views import (Correspondence, RasterImage, SamplingError, ViewSpec,
-                            compute_correspondence, materialize_view,
+                            _resize_bilinear, compute_correspondence, materialize_view,
                             overlap_matrix, patch_boundaries, patchify,
                             sample_query_views, sample_reference_view, unpatchify)
 
@@ -149,6 +151,36 @@ def test_materialize_crop_and_resize():
     # 2x downsample with half-pixel centers averages each 2x2 block
     block = img.data[0, 8:10, 16:18].mean()
     assert np.isclose(out.data[0, 0, 0], block, atol=1e-5)
+
+
+def gather_resize(x, out_h, out_w):
+    """Oracle: bilinear resample by four fancy-index gathers of the corner
+    samples, half-pixel-centred, weights in float64."""
+    C, H, W = x.shape
+    ys = (np.arange(out_h) + 0.5) * (H / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (W / out_w) - 0.5
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, H - 1)
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, W - 1)
+    y1 = np.clip(y0 + 1, 0, H - 1)
+    x1 = np.clip(x0 + 1, 0, W - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)[None, None, :]
+    top = x[:, y0[:, None], x0[None, :]] * (1 - wx) + x[:, y0[:, None], x1[None, :]] * wx
+    bot = x[:, y1[:, None], x0[None, :]] * (1 - wx) + x[:, y1[:, None], x1[None, :]] * wx
+    return top * (1 - wy) + bot * wy
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(c=st.integers(1, 4), h=st.integers(1, 96), w=st.integers(1, 96),
+       out_h=st.integers(1, 72), out_w=st.integers(1, 72),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_resize_matches_gather_oracle(c, h, w, out_h, out_w, seed):
+    rng = np.random.default_rng(seed)
+    src = rng.standard_normal((c, h + 3, w + 2)).astype(np.float32)
+    crop = src[:, 1:1 + h, 2:2 + w]         # a strided view, as materialize_view passes
+    out = _resize_bilinear(crop, out_h, out_w)
+    assert out.shape == (c, out_h, out_w) and out.dtype == np.float32
+    assert np.abs(out - gather_resize(crop, out_h, out_w)).max() <= 1e-6
 
 
 def test_crop_outside_raises():
