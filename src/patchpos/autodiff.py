@@ -243,8 +243,9 @@ _ERF_P = 0.3275911
 _ERF_A = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
 
 
-def _erf(x: np.ndarray) -> np.ndarray:
-    """erf from numpy ufuncs, in the dtype of ``x`` (A&S 7.1.26, odd extension)."""
+def _erf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(erf(x), exp(-x**2)) from numpy ufuncs, in the dtype of ``x``
+    (A&S 7.1.26, odd extension); the Gaussian is a by-product of erf."""
     a = np.abs(x)
     t = a * _ERF_P
     t += 1.0
@@ -258,21 +259,25 @@ def _erf(x: np.ndarray) -> np.ndarray:
     np.exp(a, out=a)
     y *= a
     np.subtract(1.0, y, out=y)
-    return np.copysign(y, x, out=y)
+    return np.copysign(y, x, out=y), a
 
 
 def gelu(x: Tensor) -> Tensor:
     """Erf-based GELU; erf follows Abramowitz & Stegun 7.1.26, whose absolute
-    error is at most 1.5e-7 (plus float32 rounding on float32 inputs)."""
+    error is at most 1.5e-7 (plus float32 rounding on float32 inputs).
+
+    Forward evaluates exp(-x²/2) once, for erf, and reuses it to build the
+    derivative Φ(x) + x·φ(x), so backward is one multiply.
+    """
     xd = x.data
-    e = _erf(xd * _INV_SQRT2)
-    out_data = 0.5 * xd * (1.0 + e)
-
-    def bwd(g):
-        d = 0.5 * (1.0 + e) + xd * np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-        return (g * d.astype(xd.dtype, copy=False),)
-
-    return Tensor(out_data, parents=(x,), op="gelu", backward=bwd)
+    d, gauss = _erf(xd * _INV_SQRT2)    # gauss = exp(-x²/2)
+    d += 1.0
+    out_data = 0.5 * xd * d
+    gauss *= xd
+    gauss *= _INV_SQRT2PI
+    d *= 0.5
+    d += gauss
+    return Tensor(out_data, parents=(x,), op="gelu", backward=lambda g: (g * d,))
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -406,13 +411,93 @@ def cross_entropy_from_logits(logits: Tensor, target_index) -> Tensor:
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Layer normalization over the last axis."""
-    if gain.shape[-1] != x.shape[-1] or bias.shape[-1] != x.shape[-1]:
-        raise ShapeError(f"layernorm gain/bias width must match {x.shape[-1]}")
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / sqrt(var + eps) * gain + bias
+    """Layer normalization over the last axis, as one tape node.
+
+    Forward keeps the normalized input ``xhat`` and ``rstd = 1/sqrt(var+eps)``;
+    backward is gx = rstd·(gh − mean(gh) − xhat·mean(gh·xhat)) with
+    gh = g·gain, ggain = Σrows g·xhat and gbias = Σrows g.
+    """
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"layernorm gain/bias must have shape ({d},), "
+                         f"got {gain.shape}, {bias.shape}")
+    inv_n = 1.0 / d
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    std = np.square(xhat).sum(axis=-1, keepdims=True) * inv_n
+    std += eps
+    np.sqrt(std, out=std)
+    xhat /= std
+    rstd = np.reciprocal(std, out=std)
+    out = xhat * gain.data
+    out += bias.data
+
+    def bwd(g):
+        gxhat = g * xhat
+        gx = None
+        if x.requires_grad:     # mean(gh) = g·gain / d, mean(gh·xhat) = (g·xhat)·gain / d
+            gx = g * gain.data
+            gx -= (g @ gain.data)[..., None] * inv_n
+            gx -= xhat * ((gxhat @ gain.data)[..., None] * inv_n)
+            gx *= rstd
+        return (gx, gxhat.reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
+
+    return Tensor(out, parents=(x, gain, bias), op="layernorm", backward=bwd)
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., N, w) -> (..., heads, N, w/heads), a view."""
+    return a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)).swapaxes(-2, -3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., heads, N, w) -> (..., N, heads·w)."""
+    return a.swapaxes(-2, -3).reshape(a.shape[:-3] + (a.shape[-2], a.shape[-3] * a.shape[-1]))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              bias: Optional[np.ndarray] = None) -> Tensor:
+    """Multi-head softmax(q_h k_hᵀ/√dh + bias) v_h as one tape node.
+
+    ``q``: (..., Nq, d), ``k``: (..., Nk, d), ``v``: (..., Nk, dv), with
+    leading dimensions that broadcast (the cross block passes one set of
+    keys and values per image). Head h attends with the h-th d/heads slice
+    of q and k and returns the h-th dv/heads slice of the (..., Nq, dv)
+    output. ``bias``: additive logits that broadcast to the (..., Nq, Nk)
+    scores, shared by every head. The probabilities P are kept for backward rather
+    than recomputed: gv = Pᵀg, gS = P∘(gP − Σ gP∘P)·scale, gq = gS k,
+    gk = gSᵀq, with gP = g vᵀ.
+    """
+    d, dv = q.shape[-1], v.shape[-1]
+    if (min(q.ndim, k.ndim, v.ndim) < 2 or k.shape[-1] != d or k.shape[-2] != v.shape[-2]
+            or d % heads or dv % heads):
+        raise ShapeError(f"attention expects q (..., Nq, d), k (..., Nk, d), v (..., Nk, dv) "
+                         f"with d and dv divisible by {heads} heads, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    qh, kh, vh = (_split_heads(a.data, heads) for a in (q, k, v))
+    scale = 1.0 / float(np.sqrt(d // heads))
+    p = np.matmul(qh, kh.swapaxes(-1, -2))
+    p *= scale
+    if bias is not None:
+        p += bias.astype(p.dtype, copy=False)[..., None, :, :]    # same for every head
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gh = _split_heads(g, heads)
+        gs = np.matmul(gh, vh.swapaxes(-1, -2))        # gP
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale                                     # gS
+
+        def grad(t, th, a, b):
+            return _merge_heads(_unbroadcast(np.matmul(a, b), th.shape)) if t.requires_grad else None
+
+        return (grad(q, qh, gs, kh), grad(k, kh, gs.swapaxes(-1, -2), qh),
+                grad(v, vh, p.swapaxes(-1, -2), gh))
+
+    return Tensor(_merge_heads(np.matmul(p, vh)), parents=(q, k, v), op="attention",
+                  backward=bwd)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

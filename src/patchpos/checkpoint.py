@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
 
 import numpy as np
@@ -21,7 +22,12 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Write named arrays (sorted by name) plus a JSON metadata block."""
+    """Write named arrays (sorted by name) plus a JSON metadata block.
+
+    The bytes go to a temporary file next to ``path`` that is flushed,
+    fsynced and then renamed over ``path``, so a write that fails or is
+    interrupted leaves the previous checkpoint as it was.
+    """
     names = sorted(arrays)
     manifest = {
         "meta": meta,
@@ -29,15 +35,33 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
                    for n in names],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(path, "wb") as f:
+        with open(tmp, "wb") as f:
             f.write(MAGIC)
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
             for n in names:
                 f.write(np.ascontiguousarray(arrays[n]).tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
     except OSError as e:
         raise CheckpointError(f"cannot write checkpoint '{path}': {e}") from e
+    finally:
+        if os.path.exists(tmp):     # the write or the rename did not finish
+            os.remove(tmp)
+
+
+def _read_exact(f, n: int, size: int, path, what: str) -> bytes:
+    """``n`` bytes of ``what`` from ``f``, or CheckpointError naming the file.
+    ``size`` is the file's length, checked first so a corrupt length field
+    never asks for a huge read."""
+    at = f.tell()
+    if n > size - at:
+        raise CheckpointError(f"'{path}' truncated in {what} "
+                              f"(needs {n} bytes at offset {at}, the file has {size})")
+    return f.read(n)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -45,16 +69,20 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         with open(path, "rb") as f:
             if f.read(8) != MAGIC:
                 raise CheckpointError(f"'{path}' is not a checkpoint file")
-            (n,) = struct.unpack("<Q", f.read(8))
-            manifest = json.loads(f.read(n).decode("utf-8"))
+            size = os.fstat(f.fileno()).st_size
+            (n,) = struct.unpack("<Q", _read_exact(f, 8, size, path, "the manifest length"))
+            raw = _read_exact(f, n, size, path, "the manifest")
+            try:
+                manifest = json.loads(raw.decode("utf-8"))
+            except ValueError as e:     # bad UTF-8 or bad JSON
+                raise CheckpointError(f"'{path}' has a manifest that is not valid JSON: {e}") from e
             arrays = {}
             for entry in manifest["arrays"]:
                 shape = tuple(entry["shape"])
                 dtype = np.dtype(entry["dtype"])
                 count = int(np.prod(shape)) if shape else 1
-                buf = f.read(count * dtype.itemsize)
-                if len(buf) != count * dtype.itemsize:
-                    raise CheckpointError(f"'{path}' truncated at array '{entry['name']}'")
+                buf = _read_exact(f, count * dtype.itemsize, size, path,
+                                  f"array '{entry['name']}'")
                 arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint '{path}': {e}") from e

@@ -53,6 +53,9 @@ def write_dataset(path, samples: np.ndarray, channel_tags: list[str]):
     count, C, H, W = samples.shape
     if len(channel_tags) != C:
         raise ValueError(f"{len(channel_tags)} tags for {C} channels")
+    finite = np.isfinite(samples).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise ValueError(f"{path}: sample {int(np.argmin(finite))} contains non-finite values")
     means = samples.mean(axis=(0, 2, 3), dtype=np.float64) if count else np.zeros(C)
     stds = samples.std(axis=(0, 2, 3), dtype=np.float64) if count else np.ones(C)
     stds = np.maximum(stds, 1e-8)

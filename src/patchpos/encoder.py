@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, softmax_lastdim
+from .autodiff import Tensor, attention
 from .groups import GroupedTokens
 from .nn import LayerNorm, Linear, Mlp
 
@@ -65,29 +65,21 @@ def mask_to_bias(mask: np.ndarray) -> np.ndarray:
     return np.where(keep, 0.0, _NEG_INF).astype(np.float32)
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None) -> Tensor:
-    dk = q.shape[-1]
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / float(np.sqrt(dk)))
-    if bias is not None:
-        scores = scores + Tensor(bias.astype(scores.dtype, copy=False))
-    return softmax_lastdim(scores) @ v
-
-
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None) -> Tensor:
     """Scaled dot-product attention over the last two axes.
 
-    ``q``: (..., Nq, dk), ``k``/``v``: (..., Nk, dk); ``mask`` is either None
-    or a binary matrix (1 = may attend) broadcastable to (..., Nq, Nk).
+    ``q``: (..., Nq, dk), ``k``: (..., Nk, dk), ``v``: (..., Nk, dv); ``mask``
+    is either None or a binary matrix (1 = may attend) broadcastable to
+    (..., Nq, Nk).
     Masked pairs receive exactly zero attention weight.
     """
-    return _attend(q, k, v, None if mask is None else mask_to_bias(mask))
+    return attention(q, k, v, heads=1, bias=None if mask is None else mask_to_bias(mask))
 
 
 class MultiHeadAttention:
     def __init__(self, rng, width: int, heads: int, dtype=np.float32):
         self.width = width
         self.heads = heads
-        self.head_dim = width // heads
         self.wq = Linear(rng, width, width, dtype=dtype)
         self.wk = Linear(rng, width, width, dtype=dtype)
         self.wv = Linear(rng, width, width, dtype=dtype)
@@ -97,27 +89,9 @@ class MultiHeadAttention:
         return {**self.wq.params(f"{prefix}.wq"), **self.wk.params(f"{prefix}.wk"),
                 **self.wv.params(f"{prefix}.wv"), **self.wo.params(f"{prefix}.wo")}
 
-    def _split(self, x: Tensor) -> Tensor:
-        # (..., N, d) -> (..., heads, N, head_dim)
-        lead = x.shape[:-2]
-        n = x.shape[-2]
-        x = x.reshape(lead + (n, self.heads, self.head_dim))
-        return x.swapaxes(-2, -3)
-
-    def _merge(self, x: Tensor) -> Tensor:
-        lead = x.shape[:-3]
-        n = x.shape[-2]
-        x = x.swapaxes(-2, -3)
-        return x.reshape(lead + (n, self.width))
-
     def __call__(self, xq: Tensor, xkv: Tensor, bias: np.ndarray | None) -> Tensor:
-        q = self._split(self.wq(xq))
-        k = self._split(self.wk(xkv))
-        v = self._split(self.wv(xkv))
-        if bias is not None:
-            bias = bias[..., None, :, :]    # broadcast over heads
-        out = _attend(q, k, v, bias)
-        return self.wo(self._merge(out))
+        out = attention(self.wq(xq), self.wk(xkv), self.wv(xkv), self.heads, bias)
+        return self.wo(out)
 
 
 class Block:

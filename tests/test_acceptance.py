@@ -134,6 +134,13 @@ def test_criterion_2_gradient_suite():
     lx, lw, lb = t(2, 3, 4), t(4, 5), t(5)
     add("linear", lambda lx, lw, lb: (ad.linear(lx, lw, lb) ** 2).sum(), lx, lw, lb)
 
+    # two heads, keys/values shared over the queries' leading dim as in the
+    # cross block, same-group bias
+    aq, ak, av = t(2, 3, 4), t(1, 5, 4), t(1, 5, 6)
+    abias = attention_mask_bias(np.array([[0, 1, 2], [2, 2, 0]]), np.array([[0, 0, 1, 2, 2]]))
+    add("attention", lambda aq, ak, av: (ad.attention(aq, ak, av, 2, abias) ** 2).sum(),
+        aq, ak, av)
+
     elapsed = time.time() - t0
     worst = max(checks.values())
     worst_name = max(checks, key=checks.get)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from patchpos import autodiff as ad
 from patchpos.autodiff import Tensor
+from patchpos.encoder import attention_mask_bias
 
 TOL = 1e-4
 
@@ -83,10 +84,11 @@ def test_linear_shape_errors():
 def test_erf_matches_scipy(dtype, bound):
     from scipy.special import erf
     x = np.linspace(-10.0, 10.0, 200_001).astype(dtype)
-    got = ad._erf(x)
-    assert got.dtype == dtype
+    got, gauss = ad._erf(x)
+    assert got.dtype == gauss.dtype == dtype
     assert np.abs(got - erf(x.astype(np.float64))).max() <= bound
-    assert np.array_equal(ad._erf(-x), -got)        # odd
+    assert np.abs(gauss - np.exp(-np.square(x.astype(np.float64)))).max() <= bound
+    assert np.array_equal(ad._erf(-x)[0], -got)     # odd
 
 
 def test_getitem():
@@ -270,3 +272,100 @@ def test_detach_blocks_gradient():
     a = Tensor(np.array([3.0]), requires_grad=True)
     (a.detach() * a).sum().backward()
     assert np.allclose(a.grad, 3.0)
+
+
+# -- fused layernorm / attention / gelu against the composite formulas --------
+
+def layernorm_oracle(x, gain, bias, eps=1e-6):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc / ad.sqrt(var + eps) * gain + bias
+
+
+def attention_oracle(q, k, v, heads, bias):
+    def split(x):
+        n, w = x.shape[-2:]
+        return x.reshape(x.shape[:-2] + (n, heads, w // heads)).swapaxes(-2, -3)
+
+    dh = q.shape[-1] // heads
+    scores = (split(q) @ split(k).swapaxes(-1, -2)) * (1.0 / float(np.sqrt(dh)))
+    if bias is not None:
+        scores = scores + Tensor(bias[..., None, :, :].astype(scores.dtype))
+    out = ad.softmax_lastdim(scores) @ split(v)
+    return out.swapaxes(-2, -3).reshape(out.shape[:-3] + (out.shape[-2], v.shape[-1]))
+
+
+def gelu_oracle(x):
+    xd = x.data
+    e = ad._erf(xd * ad._INV_SQRT2)[0]
+
+    def bwd(g):
+        return (g * (0.5 * (1.0 + e) + xd * np.exp(-0.5 * xd * xd) * ad._INV_SQRT2PI),)
+
+    return Tensor(0.5 * xd * (1.0 + e), parents=(x,), op="gelu", backward=bwd)
+
+
+def run_op(fn, arrays, weight):
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    (out * Tensor(weight)).sum().backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+def assert_rel_close(got, want, bound):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        scale = max(float(np.abs(w).max(initial=0.0)), 1e-30)
+        assert float(np.abs(g - w).max(initial=0.0)) / scale <= bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dtype=st.sampled_from([np.float64, np.float32]), lead=st.integers(1, 3),
+       nq=st.integers(1, 6), nk=st.integers(1, 6), heads=st.integers(1, 3),
+       dh=st.integers(1, 4), dvh=st.integers(1, 3), shared_kv=st.booleans(),
+       with_bias=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_fused_ops_match_composite(dtype, lead, nq, nk, heads, dh, dvh, shared_kv,
+                                   with_bias, seed):
+    rng = np.random.default_rng(seed)
+    bound = 1e-12 if dtype == np.float64 else 2e-6
+
+    def r(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    x, gain, bias, w = r(lead, nq, 5), r(5), r(5), r(lead, nq, 5)
+    assert_rel_close(run_op(ad.layernorm, (x, gain, bias), w),
+                     run_op(layernorm_oracle, (x, gain, bias), w), bound)
+    assert_rel_close(run_op(ad.gelu, (x * 3,), w), run_op(gelu_oracle, (x * 3,), w), bound)
+
+    kv_lead = 1 if shared_kv else lead      # the cross block shares keys over queries
+    q, k, v = r(lead, nq, heads * dh), r(kv_lead, nk, heads * dh), r(kv_lead, nk, heads * dvh)
+    logit_bias = None
+    if with_bias:
+        groups = rng.integers(0, 3, size=(lead, nq + nk))
+        logit_bias = attention_mask_bias(groups[:, :nq], groups[:, nq:])
+    w = r(lead, nq, heads * dvh)
+    assert_rel_close(run_op(lambda q, k, v: ad.attention(q, k, v, heads, logit_bias), (q, k, v), w),
+                     run_op(lambda q, k, v: attention_oracle(q, k, v, heads, logit_bias),
+                            (q, k, v), w), bound)
+
+
+def test_attention_shape_errors():
+    q = Tensor(np.zeros((3, 4)))
+    with pytest.raises(ad.ShapeError, match="attention"):
+        ad.attention(q, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), 2)
+    with pytest.raises(ad.ShapeError, match="attention"):
+        ad.attention(q, Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))), 2)
+    with pytest.raises(ad.ShapeError, match="attention"):
+        ad.attention(q, q, Tensor(np.zeros((3, 3))), 2)
+
+
+def test_attention_large_logits_stay_finite():
+    # Logits far beyond float32's exp range: the max shift keeps softmax finite.
+    rng = np.random.default_rng(19)
+    q = Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32) * 100, requires_grad=True)
+    k, v = (Tensor(rng.standard_normal((2, 4, 8)).astype(np.float32)) for _ in range(2))
+    out = ad.attention(q, k, v, 2)
+    out.sum().backward()
+    assert np.isfinite(q.grad).all()
+    assert np.allclose(out.data, attention_oracle(q, k, v, 2, None).data, rtol=1e-5, atol=1e-6)

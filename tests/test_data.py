@@ -86,6 +86,16 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_write_dataset_rejects_non_finite(tmp_path):
+    samples = np.zeros((4, 2, 3, 3), dtype=np.float32)
+    samples[2, 1, 0, 0] = np.nan
+    samples[3, 0, 1, 1] = np.inf
+    path = tmp_path / "bad.mmr"
+    with pytest.raises(ValueError, match=r"bad\.mmr: sample 2 contains non-finite"):
+        write_dataset(path, samples, ["B2", "B3"])
+    assert not path.exists()
+
+
 def test_tag_count_mismatch():
     with pytest.raises(ValueError):
         write_dataset("/tmp/never-written.mmr", np.zeros((1, 2, 4, 4), dtype=np.float32),

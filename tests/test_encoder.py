@@ -1,6 +1,7 @@
 """Attention masking invariants, the encoder stack, reference masking and the
 cross-attention block."""
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -72,6 +73,30 @@ def test_multihead_shapes_and_batching():
     x = Tensor(rng.standard_normal((2, 3, 5, 16)).astype(np.float32))
     out = attn(x, x, None)
     assert out.shape == (2, 3, 5, 16)
+
+
+def tape_ops(out: Tensor) -> dict:
+    """Op label counts of the non-leaf nodes reachable from ``out``."""
+    counts, seen, stack = Counter(), set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            counts[node._op] += node._op != "leaf"
+            stack.extend(node._parents)
+    return {op: n for op, n in counts.items() if n}
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_block_tape_is_fused(masked):
+    # One node per layernorm, projection, attention call, GELU and residual.
+    rng = np.random.default_rng(7)
+    block = Block(rng, EncoderConfig(depth=1, width=16, heads=2))
+    x = Tensor(rng.standard_normal((2, 6, 16)).astype(np.float32), requires_grad=True)
+    gids = np.array([0, 0, 1, 1, 2, 2])
+    bias = attention_mask_bias(gids, gids) if masked else None
+    assert tape_ops(block(x, bias)) == {"layernorm": 2, "linear": 6, "attention": 1,
+                                        "gelu": 1, "add": 2}
 
 
 def test_encoder_permutation_equivariance():

@@ -1,4 +1,8 @@
 """Training loop: determinism, resume, abort handling, checkpoint stability."""
+import os
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -117,6 +121,61 @@ def test_checkpoint_bad_magic(tmp_path):
     p.write_bytes(b"garbage!" * 4)
     with pytest.raises(CheckpointError):
         load_checkpoint(p)
+
+
+def saved_checkpoint(tmp_path):
+    p = tmp_path / "c.ckpt"
+    save_checkpoint(p, {"a": np.arange(6, dtype=np.float32), "b": np.ones((2, 2))}, {"step": 1})
+    raw = p.read_bytes()
+    return p, raw, struct.unpack("<Q", raw[8:16])[0]
+
+
+@pytest.mark.parametrize("cut", ["length", "no manifest", "manifest", "manifest end"])
+def test_checkpoint_cut_raises_checkpoint_error(tmp_path, cut):
+    p, raw, n = saved_checkpoint(tmp_path)
+    at = {"length": 10, "no manifest": 16, "manifest": 20, "manifest end": 16 + n - 1}[cut]
+    p.write_bytes(raw[:at])
+    with pytest.raises(CheckpointError, match=re.escape(str(p)) + ".* truncated"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("garbage", [b"{", b"\xff"])
+def test_checkpoint_bad_manifest_json(tmp_path, garbage):
+    p, raw, n = saved_checkpoint(tmp_path)
+    p.write_bytes(raw[:16] + garbage * n + raw[16 + n:])
+    with pytest.raises(CheckpointError, match=re.escape(str(p)) + ".* not valid JSON"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_write_failing_partway_keeps_previous(tmp_path):
+    # The file-size limit makes the write fail with EFBIG after 64 KiB of a
+    # 1 MiB checkpoint, the way a full disk would.
+    resource = pytest.importorskip("resource")
+    p, before, _ = saved_checkpoint(tmp_path)
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, hard))
+    try:
+        with pytest.raises(CheckpointError, match=re.escape(str(p))):
+            save_checkpoint(p, {"a": np.zeros(1 << 18, dtype=np.float32)}, {"step": 2})
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert p.read_bytes() == before
+    assert os.listdir(tmp_path) == [p.name]
+
+
+@pytest.mark.parametrize("fail, error", [("fsync", OSError), ("replace", KeyboardInterrupt)])
+def test_checkpoint_write_error_removes_temp_file(tmp_path, monkeypatch, fail, error):
+    p, before, _ = saved_checkpoint(tmp_path)
+
+    def boom(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(os, fail, boom)
+    with pytest.raises(CheckpointError if error is OSError else error):
+        save_checkpoint(p, {"a": np.zeros(3, dtype=np.float32)}, {"step": 2})
+    monkeypatch.undo()
+    assert p.read_bytes() == before
+    assert os.listdir(tmp_path) == [p.name]
 
 
 def test_config_hash_mismatch_warns(caplog):
