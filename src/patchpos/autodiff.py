@@ -320,18 +320,25 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                   backward=bwd)
 
 
+def _scatter_add(x: np.ndarray, key, flat_rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Zeros like ``x`` with ``g`` added at ``key``. ``flat_rows`` numbers the
+    selected rows; when no row repeats, a plain indexed assignment gives the
+    same sums as ``np.add.at`` at a fraction of its cost."""
+    gx = np.zeros_like(x)
+    if flat_rows.size and np.bincount(flat_rows).max() == 1:
+        gx[key] = g
+    else:
+        np.add.at(gx, key, g)
+    return gx
+
+
 def gather_rows(x: Tensor, indices) -> Tensor:
     """Select rows of ``x`` along the first axis."""
     idx = np.asarray(indices)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise IndexError(f"gather_rows index out of range for {x.shape[0]} rows")
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return Tensor(x.data[idx], parents=(x,), op="gather_rows", backward=bwd)
+    return Tensor(x.data[idx], parents=(x,), op="gather_rows",
+                  backward=lambda g: (_scatter_add(x.data, idx, idx.reshape(-1), g),))
 
 
 def gather_seq(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -344,9 +351,8 @@ def gather_seq(x: Tensor, idx: np.ndarray) -> Tensor:
     key = lead + (idx,) if lead else (idx,)
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, key, g)
-        return (gx,)
+        rows = np.ravel_multi_index(key, x.shape[:-1], mode="wrap") if lead else idx
+        return (_scatter_add(x.data, key, rows.reshape(-1), g),)
 
     return Tensor(x.data[key], parents=(x,), op="gather_seq", backward=bwd)
 

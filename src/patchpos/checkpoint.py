@@ -76,17 +76,29 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                 manifest = json.loads(raw.decode("utf-8"))
             except ValueError as e:     # bad UTF-8 or bad JSON
                 raise CheckpointError(f"'{path}' has a manifest that is not valid JSON: {e}") from e
+            entries, meta = _parse_manifest(manifest, path)
             arrays = {}
-            for entry in manifest["arrays"]:
-                shape = tuple(entry["shape"])
-                dtype = np.dtype(entry["dtype"])
+            for name, shape, dtype in entries:
                 count = int(np.prod(shape)) if shape else 1
-                buf = _read_exact(f, count * dtype.itemsize, size, path,
-                                  f"array '{entry['name']}'")
-                arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+                buf = _read_exact(f, count * dtype.itemsize, size, path, f"array '{name}'")
+                arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint '{path}': {e}") from e
-    return arrays, manifest["meta"]
+    return arrays, meta
+
+
+def _parse_manifest(manifest, path) -> tuple[list[tuple[str, tuple, np.dtype]], dict]:
+    """(name, shape, dtype) per array plus the metadata dict, or
+    CheckpointError naming the file when the manifest has the wrong shape."""
+    try:
+        entries = [(str(e["name"]), tuple(int(d) for d in e["shape"]), np.dtype(e["dtype"]))
+                   for e in manifest["arrays"]]
+        meta = manifest["meta"]
+    except (TypeError, KeyError, ValueError) as e:
+        raise CheckpointError(f"'{path}' has a malformed manifest: {type(e).__name__}: {e}") from e
+    if not isinstance(meta, dict) or any(d < 0 for _, shape, _ in entries for d in shape):
+        raise CheckpointError(f"'{path}' has a malformed manifest: bad metadata or array shape")
+    return entries, meta
 
 
 def check_config_hash(meta: dict, expected_hash: str, path) -> None:

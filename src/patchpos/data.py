@@ -121,11 +121,24 @@ class DatasetReader:
     def channel_tags(self):
         return self.header.channel_tags
 
-    def sample(self, i: int, standardize: bool = True) -> RasterImage:
-        x = np.asarray(self._raw[i], dtype=np.float32)
+    def sample(self, i: int, channels=None, standardize: bool = True) -> RasterImage:
+        """Sample ``i``, standardized unless ``standardize`` is False.
+
+        ``channels``: indices of the channels to read, all by default. Only
+        those are sliced out of the file and standardized, and the image's
+        tags follow them. This is the one finiteness check a sample gets.
+        """
+        tags = self.header.channel_tags
+        if channels is None or list(channels) == list(range(len(tags))):
+            x = np.asarray(self._raw[i], dtype=np.float32)
+            shift, scale = self._shift, self._scale
+        else:
+            x = np.asarray(self._raw[i, channels], dtype=np.float32)
+            shift, scale = self._shift[channels], self._scale[channels]
+            tags = [tags[c] for c in channels]
         if standardize:
-            x = (x - self._shift) * self._scale
-        return RasterImage(x, list(self.header.channel_tags))
+            x = (x - shift) * scale
+        return RasterImage(x, list(tags))
 
     def epoch_order(self, seed: int, epoch: int) -> np.ndarray:
         rng = np.random.default_rng([seed, 0xE9, epoch])

@@ -1,7 +1,7 @@
 """Channel grouping: presets, per-group patch embedding, encodings, sampling."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,17 +31,40 @@ GROUP_PRESETS: dict[str, list[list[str]]] = {
 
 @dataclass
 class GroupSetting:
-    """Ordered partition-with-duplicates of channel indices."""
+    """Ordered partition-with-duplicates of channel indices.
+
+    ``groups`` index the dataset's ``num_channels`` channels. ``channels``
+    lists, sorted, the ones some group reads, and ``pruned_groups`` index the
+    same bands within that subset: the layout ``DatasetReader.sample(i,
+    channels)`` returns.
+    """
     name: str
     groups: list[list[int]]
+    num_channels: int
+    channels: list[int] = field(init=False)
+    pruned_groups: list[list[int]] = field(init=False)
 
     def __post_init__(self):
         if len(self.groups) < 1:
             raise ConfigError("a group setting needs at least one group")
+        self.channels = sorted({c for g in self.groups for c in g})
+        at = {c: i for i, c in enumerate(self.channels)}
+        self.pruned_groups = [[at[c] for c in g] for g in self.groups]
 
     @property
     def num_groups(self):
         return len(self.groups)
+
+    def groups_for(self, channels: int) -> list[list[int]]:
+        """The groups as indices into inputs with ``channels`` channels: the
+        dataset's full set or the pruned subset (the two agree when every
+        channel is used)."""
+        if channels == len(self.channels):
+            return self.pruned_groups
+        if channels == self.num_channels:
+            return self.groups
+        raise ValueError(f"group setting '{self.name}' reads {len(self.channels)} of "
+                         f"{self.num_channels} channels; got an input with {channels}")
 
 
 def _normalize(name: str) -> str:
@@ -56,7 +79,7 @@ def build_group_setting(spec: str, channel_tags: list[str]) -> GroupSetting:
         tag_index.setdefault(t, i)
     norm = _normalize(spec)
     if norm == "all":
-        return GroupSetting("all", [list(range(len(channel_tags)))])
+        return GroupSetting("all", [list(range(len(channel_tags)))], len(channel_tags))
     if norm in GROUP_PRESETS:
         bands = GROUP_PRESETS[norm]
     elif "," in spec or "|" in spec:
@@ -73,7 +96,7 @@ def build_group_setting(spec: str, channel_tags: list[str]) -> GroupSetting:
                                   f"channels {channel_tags}")
             idx.append(tag_index[code])
         groups.append(idx)
-    return GroupSetting(norm, groups)
+    return GroupSetting(norm, groups, len(channel_tags))
 
 
 @dataclass
@@ -109,22 +132,48 @@ class GroupEmbedder:
             out.update(emb.params(f"{prefix}.group{g}"))
         return out
 
-    def __call__(self, patches: np.ndarray) -> GroupedTokens:
-        """Embed (..., N, C, P, P) patches into (..., G*N, width) tokens,
-        group-major along the sequence axis."""
+    def __call__(self, patches: np.ndarray, choice: np.ndarray | None = None) -> GroupedTokens:
+        """Embed (..., N, C, P, P) patches; C is the dataset's channel count
+        or the pruned count of ``GroupSetting.channels``.
+
+        Without ``choice``: (..., G*N, width) tokens, group-major along the
+        sequence axis. With ``choice``, one group id per patch shaped
+        (..., N): only the chosen group embeds each patch, one GEMM per group
+        over the patches that chose it, and the (..., N, width) tokens come
+        back in position order, as ``sample_groups`` would leave them.
+        """
         if patches.shape[-1] != self.patch or patches.shape[-2] != self.patch:
             raise ValueError(f"patch size mismatch: got {patches.shape[-2:]}, expected {self.patch}")
+        groups = self.setting.groups_for(patches.shape[-3])
+        if choice is not None:
+            return self._embed_chosen(patches, groups, choice)
         n = patches.shape[-4]
         lead = patches.shape[:-4]
         pieces = []
-        for g, emb in enumerate(self.embedders):
-            chan = self.setting.groups[g]
+        for chan, emb in zip(groups, self.embedders):
             flat = patches[..., chan, :, :].reshape(lead + (n, len(chan) * self.patch * self.patch))
             pieces.append(emb(Tensor(flat)))
         tokens = concat(pieces, axis=-2) if len(pieces) > 1 else pieces[0]
         group_ids = np.repeat(np.arange(self.setting.num_groups), n)
         position_ids = np.tile(np.arange(n), self.setting.num_groups)
         return GroupedTokens(tokens, group_ids, position_ids)
+
+    def _embed_chosen(self, patches, groups, choice) -> GroupedTokens:
+        lead_n = patches.shape[:-3]
+        if choice.shape != lead_n:
+            raise ValueError(f"group choice shape {choice.shape}, expected {lead_n}")
+        flat = patches.reshape((-1,) + patches.shape[-3:])
+        c = choice.reshape(-1)
+        rows = [np.flatnonzero(c == g) for g in range(self.setting.num_groups)]
+        pieces = [emb(Tensor(flat[r[:, None], chan].reshape(r.size, -1)))
+                  for r, chan, emb in zip(rows, groups, self.embedders) if r.size]
+        tokens = concat(pieces, axis=0) if len(pieces) > 1 else pieces[0]
+        order = np.concatenate(rows)                # the pieces' rows, as patch indices
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        tokens = gather_rows(tokens, inverse).reshape(lead_n + (self.width,))
+        n = lead_n[-1]
+        return GroupedTokens(tokens, choice, np.broadcast_to(np.arange(n), lead_n).copy())
 
 
 def sincos_position_encoding(grid_h: int, grid_w: int, dim: int, dtype=np.float32) -> np.ndarray:
@@ -177,11 +226,18 @@ class GroupPositionEncoding:
         return GroupedTokens(tokens.tokens + enc, tokens.group_ids, tokens.position_ids)
 
 
+def draw_groups(num_groups: int, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """One uniformly drawn group id per position, ``shape`` = (..., N)."""
+    return rng.integers(0, num_groups, size=shape)
+
+
 def sample_groups(tokens: GroupedTokens, rng: np.random.Generator) -> GroupedTokens:
     """Keep one uniformly chosen group's token per spatial position.
 
     Sequence length drops from G*N to N; the draw is independent per leading
-    batch element. Output is ordered by position id.
+    batch element. Output is ordered by position id. ``GroupEmbedder`` given
+    the same :func:`draw_groups` choice gives the same tokens without
+    embedding the G-1 groups this discards.
     """
     length = tokens.length
     if length == 0:
@@ -193,7 +249,7 @@ def sample_groups(tokens: GroupedTokens, rng: np.random.Generator) -> GroupedTok
     if g == 1:
         return tokens
     lead = tokens.tokens.shape[:-2]
-    choice = rng.integers(0, g, size=lead + (n,))
+    choice = draw_groups(g, lead + (n,), rng)
     idx = choice * n + np.arange(n)
     out = gather_seq(tokens.tokens, idx)
     return GroupedTokens(out, choice, np.broadcast_to(np.arange(n), lead + (n,)).copy())

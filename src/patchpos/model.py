@@ -8,8 +8,9 @@ from .autodiff import Tensor, dropout, gather_seq
 from .config import PretrainConfig
 from .encoder import (CrossAttentionBlock, Encoder, EncoderConfig,
                       attention_mask_bias)
-from .groups import (GroupEmbedder, GroupPositionEncoding, GroupedTokens,
-                     build_group_setting, sample_groups)
+from .groups import (GroupEmbedder, GroupPositionEncoding, GroupedTokens,  # noqa: F401
+                     build_group_setting, draw_groups, sample_groups)
+# sample_groups stays bound here: benchmarks/probes.py wraps model.sample_groups
 from .objectives import (ClusterHead, LossReport, PositionHead,
                          cluster_objective, flatten_correspondences,
                          position_loss)
@@ -24,6 +25,8 @@ class PretrainModel:
         self.channel_tags = list(channel_tags)
         rng = np.random.default_rng([cfg.seed, 0x91])
         self.setting = build_group_setting(cfg.group_setting, channel_tags)
+        # the bands the groups read, in the order the embedder expects them
+        self.input_tags = [self.channel_tags[c] for c in self.setting.channels]
         self.enc_cfg = EncoderConfig(cfg.depth, cfg.width, cfg.heads, cfg.mlp_ratio,
                                      cfg.patch_size)
         self.embedder = GroupEmbedder(rng, self.setting, cfg.patch_size, cfg.width, dtype=dtype)
@@ -64,12 +67,25 @@ class PretrainModel:
 
     # -- one training step ---------------------------------------------------
 
+    def _read_channels(self, image: RasterImage) -> RasterImage:
+        """``image`` restricted to the bands the groups read, found by tag, so
+        a full-channel image and one read with ``setting.channels`` give the
+        same result."""
+        if image.channel_tags == self.input_tags:
+            return image
+        missing = [t for t in self.input_tags if t not in image.channel_tags]
+        if missing:
+            raise ValueError(f"image channels {image.channel_tags} lack bands {missing} "
+                             f"of group setting '{self.setting.name}'")
+        idx = [image.channel_tags.index(t) for t in self.input_tags]
+        return RasterImage(image.data[idx], list(self.input_tags), check_finite=False)
+
     def sample_batch_views(self, images: list[RasterImage], rng: np.random.Generator,
                            noise_rng: np.random.Generator | None = None):
         """Sample and materialize one reference + Q query views per image."""
         cfg = self.cfg
         refs, queries, corrs = [], [], []
-        for img in images:
+        for img in map(self._read_channels, images):
             ref_spec = sample_reference_view(
                 img, rng, (cfg.ref_scale_min, cfg.ref_scale_max),
                 cfg.h_ref, cfg.patch_size, cfg.flip_prob)
@@ -85,11 +101,16 @@ class PretrainModel:
             corrs.extend(compute_correspondence(s, ref_spec) for s in q_specs)
         return np.stack(refs), np.stack(queries), corrs
 
-    def _encode(self, tokens: GroupedTokens, grid: int, rng, sample: bool) -> GroupedTokens:
+    def _encode(self, patches: np.ndarray, grid: int, rng) -> GroupedTokens:
+        """Embed, encode and, with group sampling, keep one group per position.
+        The group draw comes before the embedding, so only the kept tokens
+        are embedded; the draw is the one ``sample_groups`` would make."""
         cfg = self.cfg
-        t = self.encoding(tokens, grid, grid)
-        if sample and cfg.group_sampling:
-            t = sample_groups(t, rng)
+        g = self.setting.num_groups
+        choice = None
+        if cfg.group_sampling and g > 1:
+            choice = draw_groups(g, patches.shape[:-3], rng)
+        t = self.encoding(self.embedder(patches, choice), grid, grid)
         if cfg.dropout > 0:
             t = GroupedTokens(dropout(t.tokens, cfg.dropout, rng), t.group_ids, t.position_ids)
         mode = "same-group-exclusion" if cfg.same_group_masking else "none"
@@ -106,12 +127,12 @@ class PretrainModel:
         grid_q = cfg.h_q // cfg.patch_size
         grid_ref = cfg.h_ref // cfg.patch_size
 
-        zq = self._encode(self.embedder(q_patches), grid_q, rng, sample=True)
+        zq = self._encode(q_patches, grid_q, rng)
         l_q = zq.length
         need_ref = cfg.eta < 1.0 or self.cluster is not None
         zr = None
         if need_ref:
-            zr = self._encode(self.embedder(ref_patches), grid_ref, rng, sample=True)
+            zr = self._encode(ref_patches, grid_ref, rng)
 
         # per-token targets: a token at spatial position i inherits h(i)
         pos_ids = zq.position_ids
@@ -130,7 +151,10 @@ class PretrainModel:
             l_ref = zr.length
             rows, targets, weights = flatten_correspondences(token_corrs, l_q)
             b_idx = rows // (qv * l_q)
-            global_targets = b_idx * l_ref + targets
+            # without group sampling both sequences are group-major, G*N long:
+            # a query row's target is the reference token of its own group
+            group = (rows % l_q) // (grid_q * grid_q)
+            global_targets = b_idx * l_ref + group * (grid_ref * grid_ref) + targets
             zq_flat = zq.tokens.reshape(b * qv * l_q, cfg.width)
             zr_flat = zr.tokens.data.reshape(b * l_ref, cfg.width)
             closs, reg = cluster_objective(zq_flat, zr_flat, self.cluster, rows,

@@ -154,11 +154,13 @@ def pseudo_labels(z_ref: np.ndarray, head: ClusterHead, positions: np.ndarray,
     """Balanced soft cluster targets for the reference rows at ``positions``.
 
     The rows enter ``project()`` as a constant and only the values of its
-    output are kept, so no gradient flows into the label branch.
+    output are kept, so no gradient flows into the label branch. Positions
+    repeat (several query patches share a reference patch), so each distinct
+    row is projected once; Sinkhorn still balances over every position.
     """
-    rows = np.asarray(z_ref)[positions]
-    proj = head.project(Tensor(rows)).data
-    sims = proj @ head.prototypes.data.T
+    unique, inverse = np.unique(positions, return_inverse=True)
+    proj = head.project(Tensor(np.asarray(z_ref)[unique])).data
+    sims = (proj @ head.prototypes.data.T)[inverse.reshape(-1)]
     return sinkhorn_knopp(sims, iterations=iterations, tau=head.tau)
 
 

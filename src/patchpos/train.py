@@ -4,6 +4,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import re
 
 import numpy as np
 
@@ -77,6 +78,19 @@ def restore_run_checkpoint(path, model: PretrainModel, opt: AdamW) -> tuple[int,
     return int(meta["step"]), int(meta["epoch"])
 
 
+_LOGGED_STEP = re.compile(r"step=(\d+) ")
+
+
+def _logged_through(path, step: int) -> list[str]:
+    """The complete lines of the metrics log at ``path`` for steps up to
+    ``step``: a run resumed from that step logs the later ones again."""
+    if not os.path.exists(path):
+        return []
+    with open(path, "r", encoding="utf-8") as f:
+        return [line for line in f if line.endswith("\n")
+                and (m := _LOGGED_STEP.match(line)) and int(m[1]) <= step]
+
+
 def pretrain(cfg: PretrainConfig, out_dir: str, resume: str | None = None,
              max_steps: int | None = None, log_stream=None) -> dict:
     """Run pretraining; returns a summary with checkpoint path and metrics."""
@@ -103,8 +117,9 @@ def pretrain(cfg: PretrainConfig, out_dir: str, resume: str | None = None,
     metrics_path = os.path.join(out_dir, "metrics.log")
     metrics: list[dict] = []
     global_step = start_step
-    mode = "a" if resume else "w"
-    with open(metrics_path, mode, encoding="utf-8") as metrics_file:
+    kept = _logged_through(metrics_path, start_step) if resume else []
+    with open(metrics_path, "w", encoding="utf-8") as metrics_file:
+        metrics_file.writelines(kept)
         for epoch in range(start_epoch, cfg.epochs):
             order = reader.epoch_order(cfg.seed, epoch)
             first_i = global_step - epoch * steps_per_epoch  # mid-epoch resume point
@@ -112,7 +127,7 @@ def pretrain(cfg: PretrainConfig, out_dir: str, resume: str | None = None,
                 if global_step >= stop_step:
                     break
                 batch_ids = order[i * cfg.batch_size:(i + 1) * cfg.batch_size]
-                images = [reader.sample(int(j)) for j in batch_ids]
+                images = [reader.sample(int(j), model.setting.channels) for j in batch_ids]
                 rng = step_rng(cfg.seed, global_step)
                 noise_rng = (np.random.default_rng([cfg.seed, 0xBAD, global_step])
                              if cfg.noise_reference else None)

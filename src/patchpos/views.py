@@ -8,7 +8,7 @@ centers falling inside both footprints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -20,16 +20,22 @@ class SamplingError(RuntimeError):
 
 @dataclass
 class RasterImage:
-    """A C x H x W raster with one modality/band tag per channel."""
+    """A C x H x W raster with one modality/band tag per channel.
+
+    Values are checked to be finite unless ``check_finite`` is False, which
+    is for rasters derived from an already checked one (channel subsets,
+    resampled views: convex mixes of finite values stay finite).
+    """
     data: np.ndarray
     channel_tags: list[str]
+    check_finite: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check_finite: bool):
         if self.data.ndim != 3:
             raise ValueError(f"raster must be CxHxW, got shape {self.data.shape}")
         if len(self.channel_tags) != self.data.shape[0]:
             raise ValueError(f"{len(self.channel_tags)} tags for {self.data.shape[0]} channels")
-        if not np.all(np.isfinite(self.data)):
+        if check_finite and not np.all(np.isfinite(self.data)):
             raise ValueError("raster contains non-finite values")
 
     @property
@@ -132,9 +138,14 @@ def sample_query_views(image: RasterImage, ref: ViewSpec, count: int,
 
 
 @lru_cache(maxsize=None)
-def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
+def _interp_matrix(n_in: int, n_out: int, flip: bool = False) -> np.ndarray:
     """Read-only (n_out, n_in) float32 bilinear weights with half-pixel-centred
-    sampling; row i mixes the two source samples nearest output centre i."""
+    sampling; row i mixes the two source samples nearest output centre i.
+    ``flip`` reverses the rows, which mirrors the resampled axis."""
+    if flip:
+        m = _interp_matrix(n_in, n_out)[::-1].copy()
+        m.flags.writeable = False
+        return m
     c = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     i0 = np.clip(np.floor(c).astype(np.int64), 0, n_in - 1)
     i1 = np.minimum(i0 + 1, n_in - 1)
@@ -148,17 +159,18 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     return m
 
 
-def _resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample of (C, H, W) with half-pixel-centred sampling.
+def _resize_bilinear(x: np.ndarray, out_h: int, out_w: int, hflip: bool = False) -> np.ndarray:
+    """Bilinear resample of (C, H, W) with half-pixel-centred sampling, then
+    an optional horizontal flip.
 
     Bilinear interpolation is separable, so the resample is two matmuls,
     ``R_y @ x @ R_xᵀ``, with the interpolation matrices from
-    :func:`_interp_matrix`.
+    :func:`_interp_matrix`; the flip reverses the rows of ``R_x``.
     """
     C, H, W = x.shape
     if (out_h, out_w) == (H, W):
-        return x.copy()
-    out = _interp_matrix(H, out_h) @ (x @ _interp_matrix(W, out_w).T)
+        return (x[:, :, ::-1] if hflip else x).copy()
+    out = _interp_matrix(H, out_h) @ (x @ _interp_matrix(W, out_w, hflip).T)
     return out.astype(x.dtype, copy=False)
 
 
@@ -166,10 +178,8 @@ def materialize_view(image: RasterImage, spec: ViewSpec) -> RasterImage:
     """Crop, rescale, then flip."""
     spec.validate_inside(image)
     crop = image.data[:, spec.top:spec.top + spec.height, spec.left:spec.left + spec.width]
-    out = _resize_bilinear(crop, spec.out_h, spec.out_w)
-    if spec.hflip:
-        out = out[:, :, ::-1].copy()
-    return RasterImage(out, list(image.channel_tags))
+    out = _resize_bilinear(crop, spec.out_h, spec.out_w, spec.hflip)
+    return RasterImage(out, list(image.channel_tags), check_finite=False)
 
 
 def patch_boundaries(spec: ViewSpec) -> tuple[np.ndarray, np.ndarray]:

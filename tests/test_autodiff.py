@@ -135,6 +135,31 @@ def test_gather_seq():
     assert np.array_equal(out.data[1, 0], a.data[1, 1])
 
 
+@pytest.mark.parametrize("idx", [[4, 0, 2], [0, 2, 2, 4], [[3, 1], [0, 4]], [[1, 1], [1, 0]]])
+def test_gather_rows_backward_matches_add_at(idx):
+    # unique rows take the indexed-assignment path, repeated ones np.add.at
+    rng = np.random.default_rng(9)
+    idx = np.array(idx)
+    x = Tensor(rng.standard_normal((5, 3)).astype(np.float32), requires_grad=True)
+    g = rng.standard_normal(idx.shape + (3,)).astype(np.float32)
+    (ad.gather_rows(x, idx) * Tensor(g)).sum().backward()
+    want = np.zeros_like(x.data)
+    np.add.at(want, idx, g)
+    assert np.array_equal(x.grad, want)
+
+
+@pytest.mark.parametrize("idx", [[[0, 5, 2], [1, 4, 3]], [[0, 5, 2], [1, 1, 3]], [[-1, 0, 1], [2, 3, 4]]])
+def test_gather_seq_backward_matches_add_at(idx):
+    rng = np.random.default_rng(10)
+    idx = np.array(idx)
+    x = Tensor(rng.standard_normal((2, 6, 3)).astype(np.float32), requires_grad=True)
+    g = rng.standard_normal(idx.shape + (3,)).astype(np.float32)
+    (ad.gather_seq(x, idx) * Tensor(g)).sum().backward()
+    want = np.zeros_like(x.data)
+    np.add.at(want, (np.arange(2)[:, None], idx), g)
+    assert np.array_equal(x.grad, want)
+
+
 def test_take_lastdim():
     rng = np.random.default_rng(8)
     a = t64(rng, 4, 6)

@@ -24,6 +24,20 @@ def test_write_read_roundtrip(tmp_path):
     assert np.array_equal(raw.data, samples[2])
 
 
+@pytest.mark.parametrize("standardize", [True, False])
+def test_sample_channels_equals_sliced_full_read(tmp_path, standardize):
+    path = tmp_path / "d.mmr"
+    generate_synthetic_dataset(path, 3, 16, 16, ALL_BANDS, seed=4)
+    r = DatasetReader(path)
+    for channels in ([0, 1, 6, 21], [3], [2, 5, 9, 13, 14, 20], list(range(22))):
+        for i in range(3):
+            full = r.sample(i, standardize=standardize)
+            part = r.sample(i, channels, standardize=standardize)
+            assert part.data.dtype == np.float32
+            assert np.array_equal(part.data, full.data[channels])     # bit for bit
+            assert part.channel_tags == [ALL_BANDS[c] for c in channels]
+
+
 def test_standardization():
     # standardized samples use header statistics over the whole dataset
     import tempfile, os

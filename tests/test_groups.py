@@ -1,13 +1,15 @@
 """Channel grouping: presets, embedding layout, encodings, group sampling."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from patchpos.autodiff import Tensor
+from patchpos.autodiff import Tensor, gather_seq
 from patchpos.data import ALL_BANDS
 from patchpos.groups import (GROUP_PRESETS, ConfigError, GroupEmbedder,
                              GroupPositionEncoding, GroupedTokens,
-                             build_group_setting, sample_groups,
+                             build_group_setting, draw_groups, sample_groups,
                              sincos_position_encoding)
 
 
@@ -155,3 +157,92 @@ def test_sample_groups_uniform_chi_square():
     assert counts.sum() == 10000
     _, p = chisquare(counts)
     assert p > 0.01, f"group draws non-uniform: counts {counts}, p={p}"
+
+
+def test_setting_channels_and_pruned_groups():
+    s = build_group_setting("best", ALL_BANDS)
+    unused = ["B5", "B6", "B8", "B9", "B10", "B12", "D-HV"]
+    assert [ALL_BANDS[c] for c in s.channels] == [b for b in ALL_BANDS if b not in unused]
+    for full, pruned in zip(s.groups, s.pruned_groups):
+        assert [s.channels[c] for c in pruned] == full
+    assert s.groups_for(22) == s.groups and s.groups_for(15) == s.pruned_groups
+    with pytest.raises(ValueError, match="15 of 22"):
+        s.groups_for(4)
+    # B1 sits in two groups of s2+s1-mixed; both point at the one pruned channel
+    mixed = build_group_setting("s2+s1-mixed", ALL_BANDS)
+    b1 = mixed.channels.index(ALL_BANDS.index("B1"))
+    assert mixed.pruned_groups[3][0] == mixed.pruned_groups[4][0] == b1
+    explicit = build_group_setting("B2,B3|B11,B12", ALL_BANDS)
+    assert explicit.pruned_groups == [[0, 1], [2, 3]]
+    assert [ALL_BANDS[c] for c in explicit.channels] == ["B2", "B3", "B11", "B12"]
+    # every channel used: the two layouts coincide
+    assert build_group_setting("all", ["B2", "B3"]).pruned_groups == [[0, 1]]
+
+
+def test_embedder_reads_full_or_pruned_channels():
+    rng = np.random.default_rng(3)
+    setting = build_group_setting("s2+s1-mixed", ALL_BANDS)
+    emb = GroupEmbedder(rng, setting, patch=4, width=8)
+    full = rng.standard_normal((2, 5, 22, 4, 4)).astype(np.float32)
+    pruned = full[:, :, setting.channels]
+    assert np.array_equal(emb(full).tokens.data, emb(pruned).tokens.data)
+    with pytest.raises(ValueError, match="got an input with 3"):
+        emb(full[:, :, :3])
+
+
+def embed_all_then_gather(emb, enc, patches, grid, choice):
+    """The old path: embed every group, add the encodings to all G*N tokens,
+    then keep the chosen group's token per position."""
+    t = enc(emb(patches), *grid)
+    n = patches.shape[-4]
+    return GroupedTokens(gather_seq(t.tokens, choice * n + np.arange(n)), choice,
+                         np.broadcast_to(np.arange(n), choice.shape))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dtype=st.sampled_from([np.float64, np.float32]),
+       lead=st.sampled_from([(), (3,), (2, 3)]), grid=st.sampled_from([(1, 1), (2, 3), (4, 4)]),
+       spec=st.sampled_from(["B2|B3", "B2,B3|B3,B4|B4", "B4|B2,B3,B4|B2", "B2,B4|B3"]),
+       pruned=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_before_embed_matches_embed_all(dtype, lead, grid, spec, pruned, seed):
+    tags = ["B2", "B3", "B4", "B8"]
+    setting = build_group_setting(spec, tags)
+    width, p = 16, 2
+    n = grid[0] * grid[1]
+    emb = GroupEmbedder(np.random.default_rng(seed), setting, p, width, dtype=dtype)
+    enc = GroupPositionEncoding(np.random.default_rng(seed + 1), setting.num_groups, width,
+                                dtype=dtype)
+    rng = np.random.default_rng(seed + 2)
+    patches = rng.standard_normal(lead + (n, len(tags), p, p)).astype(dtype)
+    if pruned:
+        patches = np.ascontiguousarray(patches[..., setting.channels, :, :])
+    weight = rng.standard_normal(lead + (n, width)).astype(dtype)
+    params = list(emb.params("e").values()) + list(enc.params("g").values())
+
+    def run(path):
+        for t in params:
+            t.grad = None
+        choice = draw_groups(setting.num_groups, lead + (n,), np.random.default_rng(seed + 3))
+        out = path(choice)
+        (out.tokens * Tensor(weight)).sum().backward()
+        assert np.array_equal(out.group_ids, choice)
+        assert np.array_equal(out.position_ids, np.broadcast_to(np.arange(n), lead + (n,)))
+        # a group no patch chose gets no gradient, which AdamW reads as zero
+        return [out.tokens.data] + [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                                    for t in params]
+
+    new = run(lambda c: enc(emb(patches, c), *grid))
+    old = run(lambda c: embed_all_then_gather(emb, enc, patches, grid, c))
+    bound = 1e-12 if dtype == np.float64 else 2e-6
+    for got, want in zip(new, old):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        scale = max(float(np.abs(want).max(initial=0.0)), 1e-30)
+        assert float(np.abs(got - want).max(initial=0.0)) / scale <= bound
+
+
+def test_draw_groups_is_sample_groups_draw():
+    n, g = 6, 3
+    tokens = GroupedTokens(Tensor(np.zeros((2, g * n, 4), dtype=np.float32)),
+                           np.repeat(np.arange(g), n), np.tile(np.arange(n), g))
+    out = sample_groups(tokens, np.random.default_rng(11))
+    assert np.array_equal(out.group_ids, draw_groups(g, (2, n), np.random.default_rng(11)))

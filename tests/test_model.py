@@ -2,16 +2,22 @@
 import numpy as np
 import pytest
 
+from patchpos import model as model_module
 from patchpos.config import PretrainConfig
 from patchpos.data import ALL_BANDS, DatasetReader, generate_synthetic_dataset
 from patchpos.model import PretrainModel
+from patchpos.views import RasterImage
 
 
 @pytest.fixture(scope="module")
-def images(tmp_path_factory):
+def reader(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "d.mmr"
     generate_synthetic_dataset(path, 4, 128, 128, ALL_BANDS, seed=0)
-    reader = DatasetReader(path)
+    return DatasetReader(path)
+
+
+@pytest.fixture(scope="module")
+def images(reader):
     return [reader.sample(i) for i in range(4)]
 
 
@@ -102,3 +108,57 @@ def test_export_load_roundtrip(images):
         assert np.array_equal(p.data, arrays[name]), name
     with pytest.raises(KeyError):
         m2.load_arrays({"embed.group0.w": arrays["embed.group0.w"]})
+
+
+@pytest.mark.parametrize("setting", ["best", "s2+s1-mixed", "B2,B3|B11,B12", "all"])
+def test_forward_step_same_on_full_and_pruned_images(reader, images, setting):
+    # the reader's pruned images and the full ones resolve to the same bands
+    m = PretrainModel(cfg(group_setting=setting, eta=0.5, queries_per_ref=3), ALL_BANDS)
+    pruned = [reader.sample(i, m.setting.channels) for i in range(4)]
+    assert len(pruned[0].channel_tags) == len(m.setting.channels)
+    _, full_rep = m.forward_step(images, np.random.default_rng(12))
+    _, pruned_rep = m.forward_step(pruned, np.random.default_rng(12))
+    assert np.isfinite(full_rep.combined)
+    assert full_rep == pruned_rep
+    # a reordered image is resolved by tag, not by position
+    flipped = [RasterImage(im.data[::-1], im.channel_tags[::-1]) for im in images]
+    _, flipped_rep = m.forward_step(flipped, np.random.default_rng(12))
+    assert flipped_rep == full_rep
+
+
+def test_forward_step_rejects_image_without_a_group_band(images):
+    m = PretrainModel(cfg(group_setting="B2,B3|B11,B12"), ALL_BANDS)
+    rgb = [RasterImage(im.data[1:4], im.channel_tags[1:4]) for im in images]
+    with pytest.raises(ValueError, match="B11"):
+        m.forward_step(rgb, np.random.default_rng(0))
+
+
+def test_cluster_targets_read_the_query_rows_group(images, monkeypatch):
+    # G = 2 without group sampling: both sequences are group-major, G*N long,
+    # and a query row of group g must take its label from group g's
+    # reference token at the corresponding position
+    seen = {}
+    real = model_module.cluster_objective
+
+    def spy(zq_flat, zr_flat, head, rows, targets, weights, **kw):
+        seen.update(rows=rows, targets=targets, l_ref=zr_flat.shape[0] // len(images))
+        return real(zq_flat, zr_flat, head, rows, targets, weights, **kw)
+
+    monkeypatch.setattr(model_module, "cluster_objective", spy)
+    c = cfg(group_setting="B2,B3|B4,B8", group_sampling=False, eta=1.0, queries_per_ref=3)
+    m = PretrainModel(c, ALL_BANDS)
+    _, rep = m.forward_step(images, np.random.default_rng(13))
+    assert rep.omega_size > 0
+    n_q, n_ref = (c.h_q // c.patch_size) ** 2, (c.h_ref // c.patch_size) ** 2
+    l_q, l_ref = 2 * n_q, seen["l_ref"]
+    assert l_ref == 2 * n_ref
+    rows, targets = seen["rows"], seen["targets"]
+    q_group = (rows % l_q) // n_q
+    assert set(q_group) == {0, 1}
+    assert np.array_equal((targets % l_ref) // n_ref, q_group)
+    # the same image, and a group-1 row's target is its group-0 twin's plus N_ref
+    assert np.array_equal(targets // l_ref, rows // (c.queries_per_ref * l_q))
+    twin = dict(zip(rows, targets))
+    for r, t in zip(rows, targets):
+        if (r % l_q) // n_q == 1:
+            assert t == twin[r - n_q] + n_ref

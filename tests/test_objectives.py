@@ -164,6 +164,23 @@ def test_pseudo_labels_stop_gradient():
     assert np.allclose(labels.sum(axis=1), 1.0, atol=1e-6)
 
 
+def test_pseudo_labels_project_each_row_once():
+    # projecting only the distinct rows, then indexing, matches projecting
+    # every (repeated) row up to GEMM rounding; Sinkhorn sees every row
+    head = ClusterHead(np.random.default_rng(17), width=8, num_prototypes=5)
+    z_ref = np.random.default_rng(18).standard_normal((12, 8)).astype(np.float32)
+    positions = np.random.default_rng(19).integers(0, 12, size=40)
+    calls = []
+    real = head.project
+    head.project = lambda z: calls.append(z.shape[0]) or real(z)
+    labels = pseudo_labels(z_ref, head, positions)
+    assert calls == [np.unique(positions).size]
+    every = real(Tensor(z_ref[positions])).data @ head.prototypes.data.T
+    want = sinkhorn_knopp(every, iterations=3, tau=head.tau)
+    assert labels.shape == (40, 5)
+    assert np.allclose(labels, want, rtol=1e-5, atol=1e-7)
+
+
 def test_soft_cross_entropy_hand_case():
     logits = Tensor(np.log(np.array([[0.5, 0.25, 0.25]], dtype=np.float32)))
     targets = np.array([[0.5, 0.25, 0.25]])

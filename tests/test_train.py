@@ -65,6 +65,25 @@ def test_resume_matches_uninterrupted(dataset, tmp_path):
     assert got[:7] == want[:7]
 
 
+def test_resume_logs_every_step_once(dataset, tmp_path):
+    import shutil
+    cfg = small_cfg(dataset, epochs=3)  # 4 steps per epoch, 12 in all
+    null = open("/dev/null", "w")
+    full = pretrain(cfg, tmp_path / "full", log_stream=null)
+    first = pretrain(cfg, tmp_path / "run", max_steps=4, log_stream=null)
+    early = str(tmp_path / "step4.ckpt")
+    shutil.copy(first["checkpoint"], early)
+    # the run goes on to step 6, so the log holds steps the checkpoint does not
+    pretrain(cfg, tmp_path / "run", resume=first["checkpoint"], max_steps=6, log_stream=null)
+    resumed = pretrain(cfg, tmp_path / "run", resume=early, log_stream=null)
+    assert resumed["steps"] == 12
+    lines = (tmp_path / "run" / "metrics.log").read_text().splitlines()
+    steps = [int(line.split(" ", 1)[0][len("step="):]) for line in lines]
+    assert steps == list(range(1, 13))
+    assert (tmp_path / "run" / "metrics.log").read_bytes() == \
+        (tmp_path / "full" / "metrics.log").read_bytes()
+
+
 def test_step_rng_is_stream_per_step():
     a = step_rng(0, 5).standard_normal(4)
     b = step_rng(0, 5).standard_normal(4)
@@ -144,6 +163,18 @@ def test_checkpoint_bad_manifest_json(tmp_path, garbage):
     p, raw, n = saved_checkpoint(tmp_path)
     p.write_bytes(raw[:16] + garbage * n + raw[16 + n:])
     with pytest.raises(CheckpointError, match=re.escape(str(p)) + ".* not valid JSON"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("manifest", [[], {}, {"arrays": 3, "meta": {}},
+                                      {"arrays": [{"name": "a"}], "meta": {}},
+                                      {"arrays": [], "meta": []}])
+def test_checkpoint_malformed_manifest(tmp_path, manifest):
+    import json
+    p, raw, n = saved_checkpoint(tmp_path)
+    blob = json.dumps(manifest).encode()
+    p.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
+    with pytest.raises(CheckpointError, match=re.escape(str(p)) + ".* malformed manifest"):
         load_checkpoint(p)
 
 

@@ -183,6 +183,35 @@ def test_resize_matches_gather_oracle(c, h, w, out_h, out_w, seed):
     assert np.abs(out - gather_resize(crop, out_h, out_w)).max() <= 1e-6
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(c=st.integers(1, 4), src=st.integers(8, 80), out=st.sampled_from([8, 16, 24, 32, 64]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_flipped_view_equals_copy_then_flip(c, src, out, seed):
+    rng = np.random.default_rng(seed)
+    img = RasterImage(rng.standard_normal((c, src, src + 3)).astype(np.float32),
+                      [f"B{k}" for k in range(c)])
+    h = int(rng.integers(1, src + 1))
+    w = int(rng.integers(1, src + 4))
+    top, left = int(rng.integers(0, src - h + 1)), int(rng.integers(0, src + 3 - w + 1))
+    plain = materialize_view(img, ViewSpec(top, left, h, w, False, out, out, 8))
+    flipped = materialize_view(img, ViewSpec(top, left, h, w, True, out, out, 8))
+    want = plain.data[:, :, ::-1]
+    if out % 16 == 0:       # every shipped geometry: 16, 32, 64
+        assert np.array_equal(flipped.data, want)
+    else:   # the BLAS rounds a narrower last column panel differently: 1 ulp
+        assert np.abs(flipped.data - want).max() <= 4e-7 * np.abs(want).max()
+
+
+def test_materialized_view_skips_second_finiteness_check():
+    img = RasterImage(np.ones((1, 16, 16), dtype=np.float32), ["B2"])
+    img.data[0, 0, 0] = np.inf      # after the image's own check, as a probe
+    with np.errstate(invalid="ignore"):     # inf * 0 in the resampling matmul
+        out = materialize_view(img, ViewSpec(0, 0, 16, 16, False, 8, 8, 8))
+    assert not np.isfinite(out.data).all()
+    with pytest.raises(ValueError, match="non-finite"):
+        RasterImage(out.data, ["B2"])
+
+
 def test_crop_outside_raises():
     img = RasterImage(np.zeros((1, 32, 32), dtype=np.float32), ["B2"])
     with pytest.raises(ValueError):
