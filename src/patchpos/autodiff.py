@@ -7,7 +7,6 @@ leaves (gradient checks rely on this).
 """
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -516,51 +515,58 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 # -- convolutions ------------------------------------------------------------
 
-def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
-
-
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation. ``x``: (B, Cin, H, W); ``kernel``: (Cout, Cin, kh, kw)."""
+    """2-d cross-correlation. ``x``: (B, Cin, H, W); ``kernel``: (Cout, Cin, kh, kw).
+
+    One small GEMM per image and kernel tap, with no column matrix. The
+    padded input is viewed as (B, Cin, L), L = Hp·Wp, so stride-1 output
+    pixel (h, w) sits at flat index h·Wp + w and tap (i, j) reads the input
+    at that index plus s = i·Wp + j. Each tap adds
+    ``W_ij @ x_flat[:, :, s:s+n]`` into one accumulator; the columns past
+    the last valid one wrap into the next row and are cropped, and a stride
+    keeps every stride-th row and column. Backward mirrors it: gx adds
+    ``W_ijᵀ @ g_flat`` back at each tap's offset, and
+    gw_ij = Σ_b g_flat @ x_flat[:, :, s:s+n]ᵀ.
+    """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/kernel, got {x.shape}, {kernel.shape}")
     if x.shape[1] != kernel.shape[1]:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape[1]}, kernel {kernel.shape[1]}")
-    kh, kw = kernel.shape[2], kernel.shape[3]
+    B, cin, H, W = x.shape
+    cout, _, kh, kw = kernel.shape
     p = padding
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
-    if xp.shape[2] < kh or xp.shape[3] < kw:
-        raise ShapeError(f"conv2d kernel {kh}x{kw} larger than padded input {xp.shape[2:]}")
-    win = _windows(xp, kh, kw, stride)
-    out_data = np.einsum("bchwij,ocij->bohw", win, kernel.data, optimize=True)
+    Hp, Wp = H + 2 * p, W + 2 * p
+    if Hp < kh or Wp < kw:
+        raise ShapeError(f"conv2d kernel {kh}x{kw} larger than padded input {(Hp, Wp)}")
+    Hf, Wf = Hp - kh + 1, Wp - kw + 1           # stride-1 output size
+    n = (Hf - 1) * Wp + Wf                      # flat span from the first to the last output
+    taps = [(i, j, i * Wp + j) for i in range(kh) for j in range(kw)]
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    xf = xp.reshape(B, cin, Hp * Wp)
+    wt = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))   # (kh, kw, Cout, Cin)
+    acc = np.zeros((B, cout, Hf * Wp), dtype=np.result_type(x.data, kernel.data))
+    for b in range(B):      # image-major, so one image's accumulator stays in cache
+        for i, j, s in taps:
+            acc[b, :, :n] += wt[i, j] @ xf[b, :, s:s + n]
+    out = acc.reshape(B, cout, Hf, Wp)[:, :, ::stride, :Wf:stride]
 
     def bwd(g):
-        gw = np.einsum("bchwij,bohw->ocij", win, g, optimize=True)
-        # input gradient: dilate g, pad, correlate with the flipped kernel
-        gd = _dilate(g, stride)
-        gp = np.pad(gd, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-        wflip = kernel.data[:, :, ::-1, ::-1].swapaxes(0, 1)
-        gwin = _windows(gp, kh, kw, 1)
-        gx_full = np.einsum("bchwij,ocij->bohw", gwin, wflip, optimize=True)
-        # undo padding and restore rows/cols the stride never reached
-        H, W = x.shape[2], x.shape[3]
-        gx = np.zeros_like(x.data)
-        hh = min(H, gx_full.shape[2] - p)
-        ww = min(W, gx_full.shape[3] - p)
-        gx[:, :, :hh, :ww] = gx_full[:, :, p:p + hh, p:p + ww]
-        return (gx.astype(x.dtype, copy=False), gw.astype(kernel.dtype, copy=False))
+        gs = np.zeros_like(acc).reshape(B, cout, Hf, Wp)
+        gs[:, :, ::stride, :Wf:stride] = g           # back onto the stride-1 positions
+        gf = gs.reshape(B, cout, Hf * Wp)[:, :, :n]
+        gx = None
+        if x.requires_grad:
+            gxf = np.zeros((B, cin, Hp * Wp), dtype=acc.dtype)
+            for b in range(B):
+                for i, j, s in taps:
+                    gxf[b, :, s:s + n] += wt[i, j].T @ gf[b]
+            gx = gxf.reshape(B, cin, Hp, Wp)[:, :, p:p + H, p:p + W].astype(x.dtype, copy=False)
+        gw = np.empty(kernel.shape, dtype=kernel.dtype)
+        for i, j, s in taps:
+            gw[:, :, i, j] = np.matmul(gf, xf[:, :, s:s + n].swapaxes(1, 2)).sum(axis=0)
+        return (gx, gw)
 
-    return Tensor(out_data.astype(x.dtype, copy=False), parents=(x, kernel), op="conv2d", backward=bwd)
-
-
-def _dilate(x: np.ndarray, stride: int) -> np.ndarray:
-    if stride == 1:
-        return x
-    B, C, H, W = x.shape
-    out = np.zeros((B, C, (H - 1) * stride + 1, (W - 1) * stride + 1), dtype=x.dtype)
-    out[:, :, ::stride, ::stride] = x
-    return out
+    return Tensor(out.astype(x.dtype, copy=False), parents=(x, kernel), op="conv2d", backward=bwd)
 
 
 def conv_transpose2d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
@@ -611,15 +617,3 @@ def finite_difference_check(fn, tensors: Sequence[Tensor], eps: float = 1e-5) ->
         denom = max(float(np.abs(g).max(initial=0.0)), float(np.abs(num).max(initial=0.0)), 1e-8)
         worst = max(worst, float(np.abs(g - num).max(initial=0.0)) / denom)
     return worst
-
-
-def argmax_lastdim(x: Tensor) -> np.ndarray:
-    return np.argmax(x.data, axis=-1)
-
-
-def zeros(shape, dtype=np.float32, requires_grad=False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape, dtype=np.float32, requires_grad=False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)

@@ -6,8 +6,7 @@ import numpy as np
 
 from .autodiff import Tensor, dropout, gather_seq
 from .config import PretrainConfig
-from .encoder import (CrossAttentionBlock, Encoder, EncoderConfig,
-                      attention_mask_bias)
+from .encoder import CrossAttentionBlock, Encoder, EncoderConfig
 from .groups import (GroupEmbedder, GroupPositionEncoding, GroupedTokens,  # noqa: F401
                      build_group_setting, draw_groups, sample_groups)
 # sample_groups stays bound here: benchmarks/probes.py wraps model.sample_groups

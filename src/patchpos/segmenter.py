@@ -2,25 +2,31 @@
 from __future__ import annotations
 
 import logging
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (Tensor, conv2d, conv_transpose2d, cross_entropy_from_logits,
                        gather_rows, gelu)
-from .checkpoint import check_config_hash, load_checkpoint, save_checkpoint
-from .config import FinetuneConfig, PretrainConfig
+from .checkpoint import load_checkpoint, save_checkpoint
+from .config import ConfigFileError, FinetuneConfig, PretrainConfig
 from .data import DatasetReader, read_labels
 from .encoder import Encoder, EncoderConfig
 from .groups import GroupEmbedder, GroupPositionEncoding, build_group_setting
-from .model import PretrainModel
-from .nn import Linear
 from .optim import AdamW, cosine_lr
 from .views import patchify
 
 log = logging.getLogger(__name__)
+
+
+def decoder_upsamplings(patch: int) -> int:
+    """Doublings that take the token grid to pixels: log2 of the patch size,
+    which must be a power of two <= 16 (the decoder has four layers)."""
+    ups = int(patch).bit_length() - 1
+    if patch < 1 or patch != 2 ** ups or ups > 4:
+        raise ConfigFileError(f"config key 'patch_size': the decoder needs a power of two "
+                              f"<= 16, got {patch}")
+    return ups
 
 
 class LightDecoder:
@@ -32,9 +38,7 @@ class LightDecoder:
     remaining layers are 3x3 "same" convolutions."""
 
     def __init__(self, rng, width: int, patch: int, classes: int, dtype=np.float32):
-        ups = int(round(math.log2(patch)))
-        if 2 ** ups != patch or ups > 4:
-            raise ValueError(f"patch size {patch} must be a power of two <= 16")
+        ups = decoder_upsamplings(patch)
         widths = [max(width // 2, 1), max(width // 4, 1), max(width // 8, 1), max(width // 8, 1)]
         self.layers: list[tuple[str, Tensor, Tensor]] = []
         c_in = width
@@ -130,16 +134,17 @@ class SegmentationModel:
 
 
 def pixel_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_label: int = -1) -> Tensor:
-    """Mean cross-entropy over non-ignored pixels."""
+    """Mean cross-entropy over non-ignored pixels. When no pixel is ignored
+    the flattened logits are used as they are, with no row gather."""
     B, K, H, W = logits.shape
     flat = logits.transpose((0, 2, 3, 1)).reshape(B * H * W, K)
     lab = labels.reshape(-1)
     valid = np.flatnonzero(lab != ignore_label)
     if valid.size == 0:
         return Tensor(np.zeros((), dtype=logits.dtype))
-    picked = gather_rows(flat, valid)
-    ce = cross_entropy_from_logits(picked, lab[valid].astype(np.int64))
-    return ce.mean()
+    if valid.size < lab.size:
+        flat, lab = gather_rows(flat, valid), lab[valid]
+    return cross_entropy_from_logits(flat, lab.astype(np.int64)).mean()
 
 
 # -- metrics ----------------------------------------------------------------
@@ -215,11 +220,6 @@ def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
              log_stream=None) -> FinetuneResult:
     """End-to-end finetuning of one run; reports held-out IoU/mIoU."""
     seed = cfg.seed if seed is None else seed
-    reader = DatasetReader(cfg.dataset)
-    labels = read_labels(cfg.labels)
-    if len(labels) != len(reader):
-        raise ValueError(f"{len(reader)} images but {len(labels)} label maps")
-
     ckpt_arrays, ckpt_meta = (None, None)
     if cfg.checkpoint:
         ckpt_arrays, ckpt_meta = load_checkpoint(cfg.checkpoint)
@@ -227,6 +227,11 @@ def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
             pretrain_cfg = PretrainConfig(**ckpt_meta["config"])
     if pretrain_cfg is None:
         raise ValueError("finetuning needs either a checkpoint or an explicit model config")
+    decoder_upsamplings(pretrain_cfg.patch_size)
+    reader = DatasetReader(cfg.dataset)
+    labels = read_labels(cfg.labels)
+    if len(labels) != len(reader):
+        raise ValueError(f"{len(reader)} images but {len(labels)} label maps")
 
     model = SegmentationModel(pretrain_cfg, reader.channel_tags, cfg.classes,
                               same_group_masking=cfg.same_group_masking, seed=seed)

@@ -8,10 +8,13 @@ centers falling inside both footprints.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 
 class SamplingError(RuntimeError):
@@ -122,16 +125,21 @@ def sample_query_views(image: RasterImage, ref: ViewSpec, count: int,
                        rng: np.random.Generator, scale_range=(0.05, 0.3),
                        out_size: int = 32, patch: int = 8,
                        flip_prob: float = 0.5, max_tries: int = 100) -> list[ViewSpec]:
-    """Small crops, rejection-sampled to overlap the reference rectangle."""
+    """Small crops, rejection-sampled to overlap the reference rectangle.
+    A query with no overlapping crop in ``max_tries`` keeps its last crop,
+    with a warning."""
     if count < 1:
         raise SamplingError("query view count must be >= 1")
     specs = []
-    for _ in range(count):
+    for q in range(count):
         for _ in range(max_tries):
             top, left, h, w = _sample_crop(image, scale_range, patch, rng)
             if top < ref.top + ref.height and top + h > ref.top \
                     and left < ref.left + ref.width and left + w > ref.left:
                 break
+        else:
+            log.warning("query view %d does not overlap the reference after %d tries; "
+                        "keeping the last crop", q, max_tries)
         specs.append(ViewSpec(top, left, h, w, bool(rng.random() < flip_prob),
                               out_size, out_size, patch))
     return specs
@@ -243,10 +251,3 @@ def patchify(x: np.ndarray, patch: int) -> np.ndarray:
     x = x.reshape(*lead, C, gh, patch, gw, patch)
     x = x.transpose(*range(k), k + 1, k + 3, k, k + 2, k + 4)
     return x.reshape(*lead, gh * gw, C, patch, patch)
-
-
-def unpatchify(patches: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
-    """Inverse of :func:`patchify`."""
-    n, C, P, _ = patches.shape
-    x = patches.reshape(grid_h, grid_w, C, P, P)
-    return x.transpose(2, 0, 3, 1, 4).reshape(C, grid_h * P, grid_w * P)

@@ -206,6 +206,50 @@ def test_conv2d():
     check(lambda x, w: ad.conv2d(x, w, stride=2, padding=1).sum(), x, w)
 
 
+def conv_loops(x, k, g, stride, pad):
+    """Loop reference for conv2d: the output, and for output gradient ``g``
+    the input and kernel gradients, one multiply-add at a time."""
+    B, cin, H, W = x.shape
+    cout, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out, gxp, gk = np.zeros(g.shape), np.zeros_like(xp), np.zeros_like(k)
+    for b in range(B):
+        for o in range(cout):
+            for h in range(g.shape[2]):
+                for w in range(g.shape[3]):
+                    for c in range(cin):
+                        for i in range(kh):
+                            for j in range(kw):
+                                r, q = h * stride + i, w * stride + j
+                                out[b, o, h, w] += xp[b, c, r, q] * k[o, c, i, j]
+                                gxp[b, c, r, q] += g[b, o, h, w] * k[o, c, i, j]
+                                gk[o, c, i, j] += g[b, o, h, w] * xp[b, c, r, q]
+    return out, gxp[:, :, pad:pad + H, pad:pad + W], gk
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kh=st.integers(1, 3), kw=st.integers(1, 3), stride=st.integers(1, 2),
+       pad=st.integers(0, 1), b=st.integers(1, 2), cin=st.integers(1, 3),
+       cout=st.integers(1, 3), h=st.integers(1, 7), w=st.integers(1, 7),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_conv2d_matches_loops(kh, kw, stride, pad, b, cin, cout, h, w, seed):
+    # small integers keep every sum exact, so the comparison is bit-for-bit
+    h, w = max(h, kh - 2 * pad), max(w, kw - 2 * pad)
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.integers(-8, 9, size=(b, cin, h, w)).astype(np.float64), requires_grad=True)
+    k = Tensor(rng.integers(-8, 9, size=(cout, cin, kh, kw)).astype(np.float64),
+               requires_grad=True)
+    out = ad.conv2d(x, k, stride=stride, padding=pad)
+    assert out.shape == (b, cout, (h + 2 * pad - kh) // stride + 1,
+                         (w + 2 * pad - kw) // stride + 1)
+    g = rng.integers(-8, 9, size=out.shape).astype(np.float64)
+    (out * Tensor(g)).sum().backward()
+    ref_out, ref_gx, ref_gk = conv_loops(x.data, k.data, g, stride, pad)
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(x.grad, ref_gx)
+    assert np.array_equal(k.grad, ref_gk)
+
+
 def test_conv2d_shape_errors():
     x = Tensor(np.zeros((1, 3, 4, 4)))
     with pytest.raises(ad.ShapeError):

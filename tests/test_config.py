@@ -1,4 +1,6 @@
 """Key=value config files and validation."""
+import os
+
 import pytest
 
 from patchpos.config import (ConfigFileError, FinetuneConfig, PretrainConfig,
@@ -98,3 +100,9 @@ def test_pretrain_config_rejects_non_positive(key, value):
 def test_finetune_config_rejects_non_positive(key, value):
     with pytest.raises(ConfigFileError, match=key):
         FinetuneConfig(**{key: value})
+
+
+def test_blas_threads_are_pinned():
+    # tests/conftest.py sets each one that the caller left unset
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert int(os.environ[var]) >= 1

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from patchpos.autodiff import Tensor, conv_transpose2d
-from patchpos.config import FinetuneConfig, PretrainConfig
+from patchpos.autodiff import Tensor, conv_transpose2d, cross_entropy_from_logits, gather_rows
+from patchpos.config import ConfigFileError, FinetuneConfig, PretrainConfig
 from patchpos.data import generate_synthetic_segmentation, read_labels
 from patchpos.segmenter import (ConfusionMatrix, LightDecoder, SegmentationModel,
                                 evaluate, finetune, iou_miou, load_finetuned,
@@ -60,6 +60,35 @@ def test_pixel_cross_entropy_ignores_label():
     assert np.isclose(float(loss.data), np.log(2.0), atol=1e-6)  # uniform over 2
     all_ignored = pixel_cross_entropy(logits, np.full((1, 2, 2), -1))
     assert float(all_ignored.data) == 0.0
+
+
+def tape_ops(out):
+    ops, stack, seen = set(), [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.add(node._op)
+            stack.extend(node._parents)
+    return ops
+
+
+def test_pixel_cross_entropy_without_ignored_pixels_skips_gather():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+    labels = rng.integers(0, 3, size=(2, 4, 5))
+    logits = Tensor(x, requires_grad=True)
+    loss = pixel_cross_entropy(logits, labels)
+    loss.backward()
+    assert "gather_rows" not in tape_ops(loss)
+    # bit for bit the gather path, which selects every row
+    ref_logits = Tensor(x, requires_grad=True)
+    flat = ref_logits.transpose((0, 2, 3, 1)).reshape(-1, 3)
+    ref = cross_entropy_from_logits(gather_rows(flat, np.arange(flat.shape[0])),
+                                    labels.reshape(-1)).mean()
+    ref.backward()
+    assert loss.data.tobytes() == ref.data.tobytes()
+    assert logits.grad.tobytes() == ref_logits.grad.tobytes()
 
 
 def test_iou_hand_cases():
@@ -155,6 +184,16 @@ def test_finetune_needs_model_source(tmp_path):
     fcfg = FinetuneConfig(dataset=str(img), labels=str(lbl), steps=1)
     with pytest.raises(ValueError, match="checkpoint"):
         finetune(fcfg)
+
+
+@pytest.mark.parametrize("patch", [6, 32])
+def test_finetune_rejects_decoder_patch_before_reading_data(tmp_path, patch):
+    # the data files do not exist: the patch size must fail first
+    fcfg = FinetuneConfig(dataset=str(tmp_path / "missing.mmr"),
+                          labels=str(tmp_path / "missing.lbl"), steps=1)
+    pcfg = PretrainConfig(depth=1, width=16, heads=2, h_ref=96, h_q=96, patch_size=patch)
+    with pytest.raises(ConfigFileError, match="patch_size"):
+        finetune(fcfg, pretrain_cfg=pcfg)
 
 
 def test_evaluate_batching_consistent(tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from patchpos.views import (Correspondence, RasterImage, SamplingError, ViewSpec,
                             _resize_bilinear, compute_correspondence, materialize_view,
-                            overlap_matrix, patch_boundaries, patchify,
-                            sample_query_views, sample_reference_view, unpatchify)
+                            _sample_crop, overlap_matrix, patch_boundaries, patchify,
+                            sample_query_views, sample_reference_view)
 
 
 # -- oracle ------------------------------------------------------------------
@@ -245,6 +245,24 @@ def test_query_views_overlap_reference():
         assert q.left < ref.left + ref.width and q.left + q.width > ref.left
 
 
+def test_query_view_fallback_warns_and_keeps_draws(caplog):
+    # the reference lies outside the image, so no crop can overlap it
+    img = RasterImage(np.zeros((1, 64, 64), dtype=np.float32), ["B2"])
+    ref = ViewSpec(100, 100, 16, 16, False, 16, 16, 8)
+    with caplog.at_level("WARNING", logger="patchpos.views"):
+        specs = sample_query_views(img, ref, 2, np.random.default_rng(5), max_tries=7)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"query view {q} does not overlap the reference after 7 tries; keeping the last crop"
+        for q in range(2)]
+    # the same draws as before: each query keeps its 7th crop, then draws its flip
+    rng = np.random.default_rng(5)
+    for spec in specs:
+        for _ in range(7):
+            top, left, h, w = _sample_crop(img, (0.05, 0.3), 8, rng)
+        assert (spec.top, spec.left, spec.height, spec.width) == (top, left, h, w)
+        assert spec.hflip == bool(rng.random() < 0.5)
+
+
 def test_sampling_errors():
     img = RasterImage(np.zeros((1, 4, 4), dtype=np.float32), ["B2"])
     rng = np.random.default_rng(0)
@@ -261,9 +279,10 @@ def test_patchify_roundtrip():
     img = rng.standard_normal((3, 32, 48)).astype(np.float32)
     patches = patchify(img, 8)
     assert patches.shape == (4 * 6, 3, 8, 8)
-    assert np.array_equal(unpatchify(patches, 4, 6), img)
-    # row-major: patch 1 is the block one patch to the right
-    assert np.array_equal(patches[1], img[:, 0:8, 8:16])
+    # row-major: patch r*6 + c is the block in patch row r, patch column c
+    for k in range(4 * 6):
+        r, c = divmod(k, 6)
+        assert np.array_equal(patches[k], img[:, 8 * r:8 * r + 8, 8 * c:8 * c + 8])
 
 
 def test_patchify_leading_dims():
