@@ -9,7 +9,7 @@ from .autodiff import Tensor, finite_difference_check
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import FinetuneConfig, PretrainConfig
 from .data import DatasetReader, generate_synthetic_dataset, write_dataset
-from .encoder import Encoder, EncoderConfig, masked_attention
+from .encoder import Encoder, EncoderConfig
 from .groups import GROUP_PRESETS, GroupedTokens, build_group_setting, sample_groups
 from .model import PretrainModel
 from .objectives import position_loss, sinkhorn_knopp
@@ -25,9 +25,9 @@ __all__ = [
     "Tensor", "finite_difference_check", "load_checkpoint", "save_checkpoint",
     "FinetuneConfig", "PretrainConfig", "DatasetReader",
     "generate_synthetic_dataset", "write_dataset", "Encoder", "EncoderConfig",
-    "masked_attention", "GROUP_PRESETS", "GroupedTokens", "build_group_setting",
-    "sample_groups", "PretrainModel", "position_loss", "sinkhorn_knopp",
-    "SegmentationModel", "finetune", "iou_miou", "pretrain", "Correspondence",
-    "RasterImage", "ViewSpec", "compute_correspondence", "materialize_view",
-    "overlap_matrix", "sample_query_views", "sample_reference_view",
+    "GROUP_PRESETS", "GroupedTokens", "build_group_setting", "sample_groups",
+    "PretrainModel", "position_loss", "sinkhorn_knopp", "SegmentationModel",
+    "finetune", "iou_miou", "pretrain", "Correspondence", "RasterImage", "ViewSpec",
+    "compute_correspondence", "materialize_view", "overlap_matrix",
+    "sample_query_views", "sample_reference_view",
 ]

@@ -101,6 +101,24 @@ def _parse_manifest(manifest, path) -> tuple[list[tuple[str, tuple, np.dtype]], 
     return entries, meta
 
 
+def load_params(params: dict, arrays: dict[str, np.ndarray], path) -> None:
+    """Copy ``arrays["param/<name>"]`` into each tensor of ``params``.
+
+    Every parameter must be present with exactly its shape, or
+    CheckpointError names the first one that is not and the file, before
+    any is copied. Arrays that no parameter reads are ignored, so the
+    caller decides what is required by the ``params`` it passes.
+    """
+    for name, p in params.items():
+        got = arrays.get(f"param/{name}")
+        if got is None or got.shape != p.data.shape:
+            found = "missing" if got is None else f"of shape {got.shape}"
+            raise CheckpointError(f"'{path}': parameter '{name}' is {found}; "
+                                  f"the model needs shape {p.data.shape}")
+    for name, p in params.items():
+        p.data = arrays[f"param/{name}"].astype(p.data.dtype)
+
+
 def check_config_hash(meta: dict, expected_hash: str, path) -> None:
     got = meta.get("config_hash")
     if got != expected_hash:

@@ -1,5 +1,5 @@
-"""Transformer encoder with same-group attention masking and the single
-query-to-reference cross-attention block."""
+"""Transformer encoder with same-group attention masking, the backbone both
+models share, and the single query-to-reference cross-attention block."""
 from __future__ import annotations
 
 import logging
@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, attention
-from .groups import GroupedTokens
+from .config import PretrainConfig
+from .groups import GroupEmbedder, GroupedTokens, GroupPositionEncoding, build_group_setting
 from .nn import LayerNorm, Linear, Mlp
 
 log = logging.getLogger(__name__)
@@ -22,15 +23,13 @@ class EncoderConfig:
     width: int = 64
     heads: int = 4
     mlp_ratio: int = 4
-    patch: int = 8
 
     def __post_init__(self):
         if self.width % self.heads:
             raise ValueError(f"width {self.width} not divisible by {self.heads} heads")
 
 
-def attention_mask_bias(query_groups: np.ndarray, key_groups: np.ndarray,
-                        mode: str = "same-group-exclusion") -> np.ndarray | None:
+def attention_mask_bias(query_groups: np.ndarray, key_groups: np.ndarray) -> np.ndarray:
     """Additive attention bias from group ids.
 
     Same-group pairs get a large negative bias so their softmax weight
@@ -38,10 +37,6 @@ def attention_mask_bias(query_groups: np.ndarray, key_groups: np.ndarray,
     unmasked attention (logged); with at least two groups present among the
     keys this never triggers.
     """
-    if mode == "none":
-        return None
-    if mode != "same-group-exclusion":
-        raise ValueError(f"unknown attention mask mode '{mode}'")
     same = query_groups[..., :, None] == key_groups[..., None, :]
     dead = same.all(axis=-1)
     if dead.any():
@@ -49,31 +44,6 @@ def attention_mask_bias(query_groups: np.ndarray, key_groups: np.ndarray,
                     int(dead.sum()))
         same = same & ~dead[..., None]
     return np.where(same, _NEG_INF, 0.0).astype(np.float32)
-
-
-def mask_to_bias(mask: np.ndarray) -> np.ndarray:
-    """Binary attention mask (1 = may attend) to an additive logit bias.
-
-    Fully-masked rows fall back to unmasked attention (logged).
-    """
-    keep = np.asarray(mask).astype(bool)
-    dead = (~keep).all(axis=-1)
-    if dead.any():
-        log.warning("attention mask fallback: %d fully-masked rows attend unmasked",
-                    int(dead.sum()))
-        keep = keep | dead[..., None]
-    return np.where(keep, 0.0, _NEG_INF).astype(np.float32)
-
-
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None) -> Tensor:
-    """Scaled dot-product attention over the last two axes.
-
-    ``q``: (..., Nq, dk), ``k``: (..., Nk, dk), ``v``: (..., Nk, dv); ``mask``
-    is either None or a binary matrix (1 = may attend) broadcastable to
-    (..., Nq, Nk).
-    Masked pairs receive exactly zero attention weight.
-    """
-    return attention(q, k, v, heads=1, bias=None if mask is None else mask_to_bias(mask))
 
 
 class MultiHeadAttention:
@@ -128,31 +98,43 @@ class Encoder:
         out.update(self.final_ln.params(f"{prefix}.final_ln"))
         return out
 
-    def __call__(self, tokens: GroupedTokens, mask_mode: str = "none") -> Tensor:
-        bias = attention_mask_bias(tokens.group_ids, tokens.group_ids, mask_mode)
+    def __call__(self, tokens: GroupedTokens, same_group_masking: bool) -> Tensor:
+        bias = None
+        if same_group_masking:
+            bias = attention_mask_bias(tokens.group_ids, tokens.group_ids)
         x = tokens.tokens
         for block in self.blocks:
             x = block(x, bias)
         return self.final_ln(x)
 
 
-def mask_reference(z_ref: Tensor, eta: float, rng: np.random.Generator,
-                   group_ids: np.ndarray, position_ids: np.ndarray
-                   ) -> tuple[Tensor | None, np.ndarray, np.ndarray]:
-    """Keep ceil((1-eta)*N) reference rows, chosen uniformly without
-    replacement. Returns (visible rows or None, their group ids, position ids).
+class Backbone:
+    """The encoder that pretraining and finetuning share: one patch embedding
+    per group of the group setting, the group/position encoding and the
+    self-attention stack, whose initial weights are drawn from ``rng`` in that
+    order. Parameters are named ``embed.*``, ``encpos.*`` and ``encoder.*``."""
 
-    ``z_ref`` is a single (N, d) sequence.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"reference masking ratio must be in [0,1], got {eta}")
-    n = z_ref.shape[-2]
-    keep = int(np.ceil((1.0 - eta) * n))
-    if keep == 0:
-        return None, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    idx = np.sort(rng.choice(n, size=keep, replace=False))
-    from .autodiff import gather_rows
-    return gather_rows(z_ref, idx), np.asarray(group_ids)[idx], np.asarray(position_ids)[idx]
+    def __init__(self, rng, cfg: PretrainConfig, channel_tags: list[str], dtype=np.float32):
+        self.setting = build_group_setting(cfg.group_setting, channel_tags)
+        self.enc_cfg = EncoderConfig(cfg.depth, cfg.width, cfg.heads, cfg.mlp_ratio)
+        self.embedder = GroupEmbedder(rng, self.setting, cfg.patch_size, cfg.width, dtype=dtype)
+        self.encoding = GroupPositionEncoding(rng, self.setting.num_groups, cfg.width, dtype=dtype)
+        self.encoder = Encoder(rng, self.enc_cfg, dtype=dtype)
+
+    def params(self) -> dict[str, Tensor]:
+        return {**self.embedder.params("embed"), **self.encoding.params("encpos"),
+                **self.encoder.params("encoder")}
+
+    def embed(self, patches: np.ndarray, grid_h: int, grid_w: int,
+              choice: np.ndarray | None = None) -> GroupedTokens:
+        """(..., N, C, P, P) patches on a grid_h x grid_w grid -> tokens with
+        their group and position encodings added: every group's, group-major,
+        or with ``choice`` only the chosen group's per position (see
+        ``GroupEmbedder``)."""
+        return self.encoding(self.embedder(patches, choice), grid_h, grid_w)
+
+    def encode(self, tokens: GroupedTokens, same_group_masking: bool) -> Tensor:
+        return self.encoder(tokens, same_group_masking)
 
 
 class CrossAttentionBlock:

@@ -194,11 +194,12 @@ def sincos_position_encoding(grid_h: int, grid_w: int, dim: int, dtype=np.float3
 
 class GroupPositionEncoding:
     """Learned per-group vector concatenated with a fixed sinusoidal position
-    vector; the concatenation is added to each token."""
+    vector; the concatenation is added to each token. The group vector takes
+    a quarter of the width, rounded down to an even count."""
 
     def __init__(self, rng: np.random.Generator, num_groups: int, width: int,
-                 dtype=np.float32, ge_fraction: float = 0.25):
-        d_ge = int(width * ge_fraction)
+                 dtype=np.float32):
+        d_ge = width // 4
         d_ge -= d_ge % 2
         d_pe = width - d_ge
         if d_pe % 4:

@@ -6,9 +6,8 @@ import numpy as np
 
 from .autodiff import Tensor, dropout, gather_seq
 from .config import PretrainConfig
-from .encoder import CrossAttentionBlock, Encoder, EncoderConfig
-from .groups import (GroupEmbedder, GroupPositionEncoding, GroupedTokens,  # noqa: F401
-                     build_group_setting, draw_groups, sample_groups)
+from .encoder import Backbone, CrossAttentionBlock
+from .groups import GroupedTokens, draw_groups, sample_groups  # noqa: F401
 # sample_groups stays bound here: benchmarks/probes.py wraps model.sample_groups
 from .objectives import (ClusterHead, LossReport, PositionHead,
                          cluster_objective, flatten_correspondences,
@@ -23,15 +22,10 @@ class PretrainModel:
         self.cfg = cfg
         self.channel_tags = list(channel_tags)
         rng = np.random.default_rng([cfg.seed, 0x91])
-        self.setting = build_group_setting(cfg.group_setting, channel_tags)
+        self.backbone = Backbone(rng, cfg, channel_tags, dtype=dtype)
         # the bands the groups read, in the order the embedder expects them
-        self.input_tags = [self.channel_tags[c] for c in self.setting.channels]
-        self.enc_cfg = EncoderConfig(cfg.depth, cfg.width, cfg.heads, cfg.mlp_ratio,
-                                     cfg.patch_size)
-        self.embedder = GroupEmbedder(rng, self.setting, cfg.patch_size, cfg.width, dtype=dtype)
-        self.encoding = GroupPositionEncoding(rng, self.setting.num_groups, cfg.width, dtype=dtype)
-        self.encoder = Encoder(rng, self.enc_cfg, dtype=dtype)
-        self.cross = CrossAttentionBlock(rng, self.enc_cfg, dtype=dtype)
+        self.input_tags = [self.channel_tags[c] for c in self.backbone.setting.channels]
+        self.cross = CrossAttentionBlock(rng, self.backbone.enc_cfg, dtype=dtype)
         self.pos_head = PositionHead(rng, cfg.width, cfg.n_ref, dtype=dtype)
         self.cluster: ClusterHead | None = None
         if cfg.cluster_loss:
@@ -42,24 +36,12 @@ class PretrainModel:
     # -- parameter plumbing --------------------------------------------------
 
     def params(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.embedder.params("embed"))
-        out.update(self.encoding.params("encpos"))
-        out.update(self.encoder.params("encoder"))
+        out = self.backbone.params()
         out.update(self.cross.params("cross"))
         out.update(self.pos_head.params("poshead"))
         if self.cluster is not None:
             out.update(self.cluster.params("cluster"))
         return out
-
-    def load_arrays(self, arrays: dict[str, np.ndarray], strict: bool = True):
-        params = self.params()
-        missing = set(params) - set(arrays)
-        if strict and missing:
-            raise KeyError(f"checkpoint missing parameters: {sorted(missing)[:5]}...")
-        for name, p in params.items():
-            if name in arrays:
-                p.data = np.asarray(arrays[name]).astype(p.data.dtype).reshape(p.data.shape)
 
     def export_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params().items()}
@@ -75,7 +57,7 @@ class PretrainModel:
         missing = [t for t in self.input_tags if t not in image.channel_tags]
         if missing:
             raise ValueError(f"image channels {image.channel_tags} lack bands {missing} "
-                             f"of group setting '{self.setting.name}'")
+                             f"of group setting '{self.backbone.setting.name}'")
         idx = [image.channel_tags.index(t) for t in self.input_tags]
         return RasterImage(image.data[idx], list(self.input_tags), check_finite=False)
 
@@ -105,15 +87,14 @@ class PretrainModel:
         The group draw comes before the embedding, so only the kept tokens
         are embedded; the draw is the one ``sample_groups`` would make."""
         cfg = self.cfg
-        g = self.setting.num_groups
+        g = self.backbone.setting.num_groups
         choice = None
         if cfg.group_sampling and g > 1:
             choice = draw_groups(g, patches.shape[:-3], rng)
-        t = self.encoding(self.embedder(patches, choice), grid, grid)
+        t = self.backbone.embed(patches, grid, grid, choice)
         if cfg.dropout > 0:
             t = GroupedTokens(dropout(t.tokens, cfg.dropout, rng), t.group_ids, t.position_ids)
-        mode = "same-group-exclusion" if cfg.same_group_masking else "none"
-        z = self.encoder(t, mask_mode=mode)
+        z = self.backbone.encode(t, cfg.same_group_masking)
         return GroupedTokens(z, t.group_ids, t.position_ids)
 
     def forward_step(self, images: list[RasterImage], rng: np.random.Generator,

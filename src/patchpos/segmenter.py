@@ -1,22 +1,18 @@
 """Light upsampling decoder, finetuning, and IoU metrics."""
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (Tensor, conv2d, conv_transpose2d, cross_entropy_from_logits,
                        gather_rows, gelu)
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, load_params, save_checkpoint
 from .config import ConfigFileError, FinetuneConfig, PretrainConfig
 from .data import DatasetReader, read_labels
-from .encoder import Encoder, EncoderConfig
-from .groups import GroupEmbedder, GroupPositionEncoding, build_group_setting
+from .encoder import Backbone
 from .optim import AdamW, cosine_lr
 from .views import patchify
-
-log = logging.getLogger(__name__)
 
 
 def decoder_upsamplings(patch: int) -> int:
@@ -90,31 +86,11 @@ class SegmentationModel:
         self.classes = classes
         self.same_group_masking = same_group_masking
         rng = np.random.default_rng([seed, 0x5E6])
-        self.setting = build_group_setting(cfg.group_setting, channel_tags)
-        self.enc_cfg = EncoderConfig(cfg.depth, cfg.width, cfg.heads, cfg.mlp_ratio,
-                                     cfg.patch_size)
-        self.embedder = GroupEmbedder(rng, self.setting, cfg.patch_size, cfg.width, dtype=dtype)
-        self.encoding = GroupPositionEncoding(rng, self.setting.num_groups, cfg.width, dtype=dtype)
-        self.encoder = Encoder(rng, self.enc_cfg, dtype=dtype)
+        self.backbone = Backbone(rng, cfg, channel_tags, dtype=dtype)
         self.decoder = LightDecoder(rng, cfg.width, cfg.patch_size, classes, dtype=dtype)
 
     def params(self):
-        out = {}
-        out.update(self.embedder.params("embed"))
-        out.update(self.encoding.params("encpos"))
-        out.update(self.encoder.params("encoder"))
-        out.update(self.decoder.params("decoder"))
-        return out
-
-    def load_pretrained(self, arrays: dict[str, np.ndarray]):
-        """Copy every matching encoder-side parameter from a pretrain checkpoint."""
-        own = self.params()
-        loaded = 0
-        for name, p in own.items():
-            if name in arrays and arrays[name].shape == tuple(p.data.shape):
-                p.data = np.asarray(arrays[name]).astype(p.data.dtype)
-                loaded += 1
-        log.info("loaded %d/%d parameters from pretrained checkpoint", loaded, len(own))
+        return {**self.backbone.params(), **self.decoder.params("decoder")}
 
     def forward(self, images: np.ndarray) -> Tensor:
         """(B, C, H, W) standardized images -> (B, classes, H, W) logits."""
@@ -122,11 +98,9 @@ class SegmentationModel:
         B, _, H, W = images.shape
         gh, gw = H // cfg.patch_size, W // cfg.patch_size
         patches = patchify(images, cfg.patch_size)          # (B, N, C, P, P)
-        tokens = self.embedder(patches)                      # (B, G*N, d)
-        tokens = self.encoding(tokens, gh, gw)
-        mode = "same-group-exclusion" if self.same_group_masking else "none"
-        z = self.encoder(tokens, mask_mode=mode)             # (B, G*N, d)
-        g = self.setting.num_groups
+        tokens = self.backbone.embed(patches, gh, gw)        # (B, G*N, d)
+        z = self.backbone.encode(tokens, self.same_group_masking)
+        g = self.backbone.setting.num_groups
         n = gh * gw
         z = z.reshape(B, g, n, cfg.width).mean(axis=1)       # all groups kept, averaged
         grid = z.reshape(B, gh, gw, cfg.width).transpose((0, 3, 1, 2))
@@ -235,9 +209,8 @@ def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
 
     model = SegmentationModel(pretrain_cfg, reader.channel_tags, cfg.classes,
                               same_group_masking=cfg.same_group_masking, seed=seed)
-    if ckpt_arrays is not None:
-        model.load_pretrained({k[len("param/"):]: v for k, v in ckpt_arrays.items()
-                               if k.startswith("param/")})
+    if ckpt_arrays is not None:     # the decoder is new, the pretraining heads unused
+        load_params(model.backbone.params(), ckpt_arrays, cfg.checkpoint)
 
     rng = np.random.default_rng([seed, 0xF1])
     n = len(reader)
@@ -301,8 +274,7 @@ def load_finetuned(path, channel_tags: list[str]) -> SegmentationModel:
     pcfg = PretrainConfig(**meta["config"])
     model = SegmentationModel(pcfg, channel_tags, int(meta["classes"]),
                               same_group_masking=bool(meta["same_group_masking"]))
-    model.load_pretrained({k[len("param/"):]: v for k, v in arrays.items()
-                           if k.startswith("param/")})
+    load_params(model.params(), arrays, path)
     return model
 
 

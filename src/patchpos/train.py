@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 
-from .checkpoint import check_config_hash, load_checkpoint, save_checkpoint
+from .checkpoint import check_config_hash, load_checkpoint, load_params, save_checkpoint
 from .config import PretrainConfig
 from .data import DatasetReader
 from .model import PretrainModel
@@ -41,23 +41,15 @@ def clip_gradients(params, max_norm: float):
                 p.grad = p.grad * scale
 
 
-def _optimizer_arrays(opt: AdamW) -> dict[str, np.ndarray]:
-    out = {}
-    for k, v in opt.m.items():
-        out[f"adam_m/{k}"] = v.copy()
-    for k, v in opt.v.items():
-        out[f"adam_v/{k}"] = v.copy()
-    return out
-
-
 def save_run_checkpoint(path, model: PretrainModel, opt: AdamW, global_step: int,
                         epoch: int) -> None:
     arrays = {f"param/{k}": v for k, v in model.export_arrays().items()}
-    arrays.update(_optimizer_arrays(opt))
+    state = opt.state_dict()
+    arrays.update({f"adam_{s}/{k}": v for s in ("m", "v") for k, v in state[s].items()})
     meta = {
         "step": global_step,
         "epoch": epoch,
-        "adam_step_count": opt.step_count,
+        "adam_step_count": state["step_count"],
         "config": model.cfg.to_dict(),
         "config_hash": model.cfg.hash(),
         "channel_tags": model.channel_tags,
@@ -68,13 +60,9 @@ def save_run_checkpoint(path, model: PretrainModel, opt: AdamW, global_step: int
 def restore_run_checkpoint(path, model: PretrainModel, opt: AdamW) -> tuple[int, int]:
     arrays, meta = load_checkpoint(path)
     check_config_hash(meta, model.cfg.hash(), path)
-    model.load_arrays({k[len("param/"):]: v for k, v in arrays.items()
-                       if k.startswith("param/")})
-    opt.load_state_dict({
-        "step_count": meta["adam_step_count"],
-        "m": {k[len("adam_m/"):]: v for k, v in arrays.items() if k.startswith("adam_m/")},
-        "v": {k[len("adam_v/"):]: v for k, v in arrays.items() if k.startswith("adam_v/")},
-    })
+    load_params(model.params(), arrays, path)
+    moments = {s: {k: arrays[f"adam_{s}/{k}"] for k in opt.params} for s in ("m", "v")}
+    opt.load_state_dict({"step_count": meta["adam_step_count"], **moments})
     return int(meta["step"]), int(meta["epoch"])
 
 
@@ -127,7 +115,7 @@ def pretrain(cfg: PretrainConfig, out_dir: str, resume: str | None = None,
                 if global_step >= stop_step:
                     break
                 batch_ids = order[i * cfg.batch_size:(i + 1) * cfg.batch_size]
-                images = [reader.sample(int(j), model.setting.channels) for j in batch_ids]
+                images = [reader.sample(int(j), model.backbone.setting.channels) for j in batch_ids]
                 rng = step_rng(cfg.seed, global_step)
                 noise_rng = (np.random.default_rng([cfg.seed, 0xBAD, global_step])
                              if cfg.noise_reference else None)

@@ -1,15 +1,14 @@
-"""Attention masking invariants, the encoder stack, reference masking and the
-cross-attention block."""
+"""Attention masking invariants, the encoder stack and the cross-attention
+block."""
 import logging
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from patchpos.autodiff import Tensor, softmax_lastdim
+from patchpos.autodiff import Tensor, attention, softmax_lastdim
 from patchpos.encoder import (Block, CrossAttentionBlock, Encoder, EncoderConfig,
-                              MultiHeadAttention, attention_mask_bias,
-                              mask_reference, masked_attention)
+                              MultiHeadAttention, attention_mask_bias)
 from patchpos.groups import GroupedTokens
 
 
@@ -38,8 +37,8 @@ def test_masked_attention_hand_case():
     q = Tensor(np.array([[1.0, 0.0]], dtype=np.float32))
     k = Tensor(np.array([[1.0, 0.0], [5.0, 0.0], [0.0, 0.0]], dtype=np.float32))
     v = Tensor(np.array([[1.0], [100.0], [3.0]], dtype=np.float32))
-    mask = np.array([[1, 0, 1]])
-    out = masked_attention(q, k, v, mask).data
+    bias = attention_mask_bias(np.array([0]), np.array([1, 0, 2]))   # key 1 shares group 0
+    out = attention(q, k, v, 1, bias).data
     s0 = np.exp(1.0 / np.sqrt(2))
     s2 = np.exp(0.0)
     want = (s0 * 1.0 + s2 * 3.0) / (s0 + s2)
@@ -49,7 +48,7 @@ def test_masked_attention_hand_case():
 def test_masked_attention_none_mask():
     rng = np.random.default_rng(1)
     q = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
-    out = masked_attention(q, q, q, None)
+    out = attention(q, q, q, 1, None)
     assert out.shape == (3, 4)
 
 
@@ -59,12 +58,6 @@ def test_fully_masked_row_falls_back_with_log(caplog):
         bias = attention_mask_bias(groups, groups)
     assert "fallback" in caplog.text
     assert np.all(bias == 0.0)  # every row fell back to unmasked
-
-
-def test_mask_bias_none_mode():
-    assert attention_mask_bias(np.array([0]), np.array([1]), mode="none") is None
-    with pytest.raises(ValueError):
-        attention_mask_bias(np.array([0]), np.array([1]), mode="bogus")
 
 
 def test_multihead_shapes_and_batching():
@@ -106,10 +99,9 @@ def test_encoder_permutation_equivariance():
     enc = Encoder(rng, cfg)
     x = np.random.default_rng(4).standard_normal((6, 16)).astype(np.float32)
     gids = np.array([0, 0, 1, 1, 2, 2])
-    out = enc(GroupedTokens(Tensor(x), gids, np.arange(6)), "same-group-exclusion").data
+    out = enc(GroupedTokens(Tensor(x), gids, np.arange(6)), True).data
     perm = np.array([3, 1, 5, 0, 2, 4])
-    out_p = enc(GroupedTokens(Tensor(x[perm]), gids[perm], np.arange(6)[perm]),
-                "same-group-exclusion").data
+    out_p = enc(GroupedTokens(Tensor(x[perm]), gids[perm], np.arange(6)[perm]), True).data
     assert np.allclose(out_p, out[perm], atol=1e-5)
 
 
@@ -124,22 +116,6 @@ def test_block_residual_structure():
     block.mlp.fc2.b.data[:] = 0
     x = Tensor(np.random.default_rng(6).standard_normal((4, 8)).astype(np.float32))
     assert np.allclose(block(x, None).data, x.data, atol=1e-6)
-
-
-def test_mask_reference_keep_counts():
-    rng = np.random.default_rng(7)
-    z = Tensor(np.random.default_rng(8).standard_normal((196, 4)).astype(np.float32))
-    gids = np.zeros(196, dtype=np.int64)
-    pids = np.arange(196)
-    vis, g, p = mask_reference(z, 0.8, rng, gids, pids)
-    assert vis.shape == (40, 4)  # ceil(0.2 * 196)
-    assert np.array_equal(vis.data, z.data[p])
-    vis, g, p = mask_reference(z, 0.0, rng, gids, pids)
-    assert vis.shape == (196, 4)
-    vis, g, p = mask_reference(z, 1.0, rng, gids, pids)
-    assert vis is None and p.size == 0
-    with pytest.raises(ValueError):
-        mask_reference(z, 1.5, rng, gids, pids)
 
 
 def test_cross_attention_block():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from patchpos import model as model_module
+from patchpos.checkpoint import CheckpointError, load_params
 from patchpos.config import PretrainConfig
 from patchpos.data import ALL_BANDS, DatasetReader, generate_synthetic_dataset
 from patchpos.model import PretrainModel
@@ -101,21 +102,58 @@ def test_group_sampling_toggle_changes_losses(images):
 
 def test_export_load_roundtrip(images):
     m = PretrainModel(cfg(seed=1), ALL_BANDS)
-    arrays = m.export_arrays()
+    arrays = {f"param/{k}": v for k, v in m.export_arrays().items()}
     m2 = PretrainModel(cfg(seed=2), ALL_BANDS)
-    m2.load_arrays(arrays)
+    load_params(m2.params(), arrays, "m.ckpt")
     for name, p in m2.params().items():
-        assert np.array_equal(p.data, arrays[name]), name
-    with pytest.raises(KeyError):
-        m2.load_arrays({"embed.group0.w": arrays["embed.group0.w"]})
+        assert np.array_equal(p.data, arrays[f"param/{name}"]), name
+    with pytest.raises(CheckpointError, match="m.ckpt.*'embed.group0.b' is missing"):
+        load_params(m2.params(), {"param/embed.group0.w": arrays["param/embed.group0.w"]},
+                    "m.ckpt")
+    # the same number of values in another shape is not reshaped
+    name = "encoder.block0.attn.wq.w"
+    flipped = {**arrays, f"param/{name}": arrays[f"param/{name}"].reshape(8, 32)}
+    before = m2.export_arrays()
+    with pytest.raises(CheckpointError, match=f"m.ckpt.*'{name}'.*shape \\(8, 32\\)"):
+        load_params(m2.params(), flipped, "m.ckpt")
+    assert all(np.array_equal(p.data, before[k]) for k, p in m2.params().items())
+
+
+def test_cross_attend_keep_counts(images, monkeypatch):
+    # eta keeps ceil((1 - eta) * N_ref) sorted distinct reference rows per
+    # image; eta = 1 bypasses the cross-attention block
+    seen = []
+    real = model_module.gather_seq
+
+    def spy(x, idx):
+        out = real(x, idx)
+        seen.append((x.data, idx, out.data))
+        return out
+
+    monkeypatch.setattr(model_module, "gather_seq", spy)
+    n_ref = (32 // 8) ** 2
+    for eta, keep in [(0.8, 4), (0.5, 8), (0.0, n_ref)]:
+        assert keep == int(np.ceil((1 - eta) * n_ref))
+        seen.clear()
+        PretrainModel(cfg(eta=eta, cluster_loss=False), ALL_BANDS).forward_step(
+            images, np.random.default_rng(2))
+        (z, idx, visible), = seen
+        assert idx.shape == (len(images), keep)
+        assert all(np.array_equal(row, np.unique(row)) for row in idx)
+        assert np.array_equal(visible, np.take_along_axis(z, idx[..., None], axis=1))
+    seen.clear()
+    m = PretrainModel(cfg(eta=1.0), ALL_BANDS)
+    monkeypatch.setattr(m, "cross", None)       # calling it would fail
+    _, rep = m.forward_step(images, np.random.default_rng(2))
+    assert seen == [] and np.isfinite(rep.combined)
 
 
 @pytest.mark.parametrize("setting", ["best", "s2+s1-mixed", "B2,B3|B11,B12", "all"])
 def test_forward_step_same_on_full_and_pruned_images(reader, images, setting):
     # the reader's pruned images and the full ones resolve to the same bands
     m = PretrainModel(cfg(group_setting=setting, eta=0.5, queries_per_ref=3), ALL_BANDS)
-    pruned = [reader.sample(i, m.setting.channels) for i in range(4)]
-    assert len(pruned[0].channel_tags) == len(m.setting.channels)
+    pruned = [reader.sample(i, m.backbone.setting.channels) for i in range(4)]
+    assert len(pruned[0].channel_tags) == len(m.backbone.setting.channels)
     _, full_rep = m.forward_step(images, np.random.default_rng(12))
     _, pruned_rep = m.forward_step(pruned, np.random.default_rng(12))
     assert np.isfinite(full_rep.combined)

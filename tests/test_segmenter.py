@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from patchpos.autodiff import Tensor, conv_transpose2d, cross_entropy_from_logits, gather_rows
+from patchpos.checkpoint import CheckpointError
 from patchpos.config import ConfigFileError, FinetuneConfig, PretrainConfig
 from patchpos.data import generate_synthetic_segmentation, read_labels
+from patchpos.model import PretrainModel
+from patchpos.optim import AdamW
+from patchpos.train import save_run_checkpoint
 from patchpos.segmenter import (ConfusionMatrix, LightDecoder, SegmentationModel,
                                 evaluate, finetune, iou_miou, load_finetuned,
                                 pixel_cross_entropy, save_finetuned, write_pgm)
@@ -194,6 +198,44 @@ def test_finetune_rejects_decoder_patch_before_reading_data(tmp_path, patch):
     pcfg = PretrainConfig(depth=1, width=16, heads=2, h_ref=96, h_q=96, patch_size=patch)
     with pytest.raises(ConfigFileError, match="patch_size"):
         finetune(fcfg, pretrain_cfg=pcfg)
+
+
+def pretraining_checkpoint(path, pcfg, tags):
+    model = PretrainModel(pcfg, tags)
+    save_run_checkpoint(path, model, AdamW(model.params(), lr=1e-3), 0, 0)
+    return model
+
+
+def test_finetune_loads_every_backbone_parameter(tmp_path):
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 4, 32, 32, ["B2", "B3"], 0)
+    pcfg = PretrainConfig(depth=1, width=16, heads=2, h_ref=32, h_q=16, group_setting="B2|B3")
+    pre = pretraining_checkpoint(tmp_path / "pre.ckpt", pcfg, ["B2", "B3"])
+    fcfg = FinetuneConfig(dataset=str(img), labels=str(lbl), checkpoint=str(tmp_path / "pre.ckpt"),
+                          steps=1, lr=1e-12, weight_decay=0.0, val_fraction=0.0)
+    res = finetune(fcfg, seed=0)
+    backbone = res.model.backbone.params()
+    assert set(backbone) == {k for k in pre.params()
+                             if k.split(".")[0] in ("embed", "encpos", "encoder")}
+    for name, p in backbone.items():      # one step at lr 1e-12 moves nothing visibly
+        assert np.allclose(p.data, pre.params()[name].data, atol=1e-9), name
+
+
+@pytest.mark.parametrize("override, name", [
+    ({"group_setting": "all"}, "embed.group0.w"),
+    ({"width": 32}, "embed.group0.w"),
+    ({"depth": 2}, "encoder.block1.ln1.gain"),
+], ids=["group_setting", "width", "depth"])
+def test_finetune_rejects_a_checkpoint_of_another_shape(tmp_path, override, name):
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 4, 32, 32, ["B2", "B3"], 0)
+    pcfg = PretrainConfig(depth=1, width=16, heads=2, h_ref=32, h_q=16, group_setting="B2|B3")
+    ckpt = tmp_path / "pre.ckpt"
+    pretraining_checkpoint(ckpt, pcfg, ["B2", "B3"])
+    fcfg = FinetuneConfig(dataset=str(img), labels=str(lbl), checkpoint=str(ckpt), steps=1)
+    other = PretrainConfig(**{**pcfg.to_dict(), **override})
+    with pytest.raises(CheckpointError, match=re.escape(f"'{ckpt}': parameter '{name}'")):
+        finetune(fcfg, pretrain_cfg=other, seed=0)
 
 
 def test_evaluate_batching_consistent(tmp_path):

@@ -11,7 +11,9 @@ from patchpos.checkpoint import (CheckpointError, check_config_hash,
 from patchpos.config import PretrainConfig
 from patchpos.data import generate_synthetic_dataset
 from patchpos.model import PretrainModel
-from patchpos.train import TrainingAborted, pretrain, step_rng
+from patchpos.optim import AdamW
+from patchpos.train import (TrainingAborted, pretrain, restore_run_checkpoint,
+                            save_run_checkpoint, step_rng)
 
 
 def small_cfg(dataset, **overrides):
@@ -232,3 +234,11 @@ def test_run_checkpoint_restores_exact_state(dataset, tmp_path):
     assert meta["step"] == res["steps"]
     assert meta["config_hash"] == cfg.hash()
     assert meta["channel_tags"] == ["B2", "B3", "B4"]
+    # restoring into a fresh (untrained) model and optimizer and saving again
+    # gives the same bytes
+    fresh = PretrainModel(cfg, ["B2", "B3", "B4"])
+    opt = AdamW(fresh.params(), lr=cfg.lr)
+    assert restore_run_checkpoint(res["checkpoint"], fresh, opt) == (meta["step"], meta["epoch"])
+    assert opt.step_count == meta["adam_step_count"] == res["steps"]
+    save_run_checkpoint(tmp_path / "again.ckpt", fresh, opt, meta["step"], meta["epoch"])
+    assert (tmp_path / "again.ckpt").read_bytes() == open(res["checkpoint"], "rb").read()
