@@ -59,12 +59,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
@@ -244,8 +238,10 @@ _ERF_A = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
 
 def _erf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(erf(x), exp(-x**2)) from numpy ufuncs, in the dtype of ``x``
-    (A&S 7.1.26, odd extension); the Gaussian is a by-product of erf."""
-    a = np.abs(x)
+    (A&S 7.1.26, odd extension); the Gaussian is a by-product of erf.
+    A 0-d ``x`` is computed as shape (1,): numpy returns scalars, which take
+    no ``out=``, for 0-d operands."""
+    a = np.atleast_1d(np.abs(x))
     t = a * _ERF_P
     t += 1.0
     np.reciprocal(t, out=t)
@@ -258,7 +254,7 @@ def _erf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.exp(a, out=a)
     y *= a
     np.subtract(1.0, y, out=y)
-    return np.copysign(y, x, out=y), a
+    return np.copysign(y, x, out=y).reshape(np.shape(x)), a.reshape(np.shape(x))
 
 
 def gelu(x: Tensor) -> Tensor:

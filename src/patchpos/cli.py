@@ -10,8 +10,8 @@ import numpy as np
 
 from . import data
 from .config import FinetuneConfig, PretrainConfig
-from .segmenter import (evaluate, finetune_runs, load_finetuned, save_finetuned,
-                        write_pgm)
+from .segmenter import (evaluate, finetune_runs, load_finetuned, read_images,
+                        save_finetuned, write_pgm)
 from .train import pretrain
 from .views import (RasterImage, compute_correspondence, sample_query_views,
                     sample_reference_view)
@@ -74,7 +74,7 @@ def cmd_eval(args):
     reader = data.DatasetReader(args.dataset)
     labels = data.read_labels(args.labels)
     model = load_finetuned(args.checkpoint, reader.channel_tags)
-    images = np.stack([reader.sample(i).data for i in range(len(reader))])
+    images = read_images(reader, range(len(reader)), model)
     per_class, miou = evaluate(model, images, labels, args.ignore_label)
     for c, iou in enumerate(per_class):
         if not np.isnan(iou):

@@ -53,8 +53,8 @@ def from_mapping(cls, mapping: dict[str, str]):
     unknown = set(mapping) - set(fields)
     if unknown:
         raise ConfigFileError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: _coerce(k, v, fields[k].type if isinstance(fields[k].type, type) else type(fields[k].default))
-              for k, v in mapping.items()}
+    # field types are strings here (postponed annotations): coerce by the default's type
+    kwargs = {k: _coerce(k, v, type(fields[k].default)) for k, v in mapping.items()}
     return cls(**kwargs)
 
 

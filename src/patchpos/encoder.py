@@ -133,9 +133,6 @@ class Backbone:
         ``GroupEmbedder``)."""
         return self.encoding(self.embedder(patches, choice), grid_h, grid_w)
 
-    def encode(self, tokens: GroupedTokens, same_group_masking: bool) -> Tensor:
-        return self.encoder(tokens, same_group_masking)
-
 
 class CrossAttentionBlock:
     """Single block whose queries come from the query representations and

@@ -31,40 +31,24 @@ GROUP_PRESETS: dict[str, list[list[str]]] = {
 
 @dataclass
 class GroupSetting:
-    """Ordered partition-with-duplicates of channel indices.
+    """Ordered partition-with-duplicates of the dataset's channel indices.
 
-    ``groups`` index the dataset's ``num_channels`` channels. ``channels``
-    lists, sorted, the ones some group reads, and ``pruned_groups`` index the
-    same bands within that subset: the layout ``DatasetReader.sample(i,
-    channels)`` returns.
+    ``groups`` index the dataset's channels. ``channels`` lists, sorted, the
+    ones some group reads: the layout ``DatasetReader.sample(i, channels)``
+    returns and the only one ``GroupEmbedder`` accepts.
     """
     name: str
     groups: list[list[int]]
-    num_channels: int
     channels: list[int] = field(init=False)
-    pruned_groups: list[list[int]] = field(init=False)
 
     def __post_init__(self):
         if len(self.groups) < 1:
             raise ConfigError("a group setting needs at least one group")
         self.channels = sorted({c for g in self.groups for c in g})
-        at = {c: i for i, c in enumerate(self.channels)}
-        self.pruned_groups = [[at[c] for c in g] for g in self.groups]
 
     @property
     def num_groups(self):
         return len(self.groups)
-
-    def groups_for(self, channels: int) -> list[list[int]]:
-        """The groups as indices into inputs with ``channels`` channels: the
-        dataset's full set or the pruned subset (the two agree when every
-        channel is used)."""
-        if channels == len(self.channels):
-            return self.pruned_groups
-        if channels == self.num_channels:
-            return self.groups
-        raise ValueError(f"group setting '{self.name}' reads {len(self.channels)} of "
-                         f"{self.num_channels} channels; got an input with {channels}")
 
 
 def _normalize(name: str) -> str:
@@ -79,7 +63,7 @@ def build_group_setting(spec: str, channel_tags: list[str]) -> GroupSetting:
         tag_index.setdefault(t, i)
     norm = _normalize(spec)
     if norm == "all":
-        return GroupSetting("all", [list(range(len(channel_tags)))], len(channel_tags))
+        return GroupSetting("all", [list(range(len(channel_tags)))])
     if norm in GROUP_PRESETS:
         bands = GROUP_PRESETS[norm]
     elif "," in spec or "|" in spec:
@@ -96,15 +80,17 @@ def build_group_setting(spec: str, channel_tags: list[str]) -> GroupSetting:
                                   f"channels {channel_tags}")
             idx.append(tag_index[code])
         groups.append(idx)
-    return GroupSetting(norm, groups, len(channel_tags))
+    return GroupSetting(norm, groups)
 
 
 @dataclass
 class GroupedTokens:
     """Token sequence with per-token group and spatial-position ids.
 
-    ``tokens`` may carry leading batch dimensions; group/position ids apply
-    to the shared sequence axis (second to last).
+    ``tokens`` may carry leading batch dimensions before the sequence axis
+    (second to last). ``position_ids`` is one (L,) array that every sequence
+    shares; ``group_ids`` is (L,) too, or one row per sequence when each
+    drew its own groups.
     """
     tokens: Tensor
     group_ids: np.ndarray
@@ -123,6 +109,8 @@ class GroupEmbedder:
         self.setting = setting
         self.patch = patch
         self.width = width
+        at = {c: i for i, c in enumerate(setting.channels)}
+        self.groups = [[at[c] for c in g] for g in setting.groups]     # into ``channels``
         self.embedders = [Linear(rng, patch * patch * len(g), width, dtype=dtype)
                           for g in setting.groups]
 
@@ -133,47 +121,48 @@ class GroupEmbedder:
         return out
 
     def __call__(self, patches: np.ndarray, choice: np.ndarray | None = None) -> GroupedTokens:
-        """Embed (..., N, C, P, P) patches; C is the dataset's channel count
-        or the pruned count of ``GroupSetting.channels``.
+        """Embed (..., N, C, P, P) patches whose C channels are, in order,
+        ``setting.channels``.
 
-        Without ``choice``: (..., G*N, width) tokens, group-major along the
-        sequence axis. With ``choice``, one group id per patch shaped
-        (..., N): only the chosen group embeds each patch, one GEMM per group
-        over the patches that chose it, and the (..., N, width) tokens come
-        back in position order, as ``sample_groups`` would leave them.
+        Without ``choice`` every group embeds every patch: (..., G*N, width)
+        tokens, group-major along the sequence axis. With ``choice``, one
+        group id per patch shaped (..., N), only the chosen group embeds each
+        patch and the (..., N, width) tokens come back in position order, as
+        ``sample_groups`` would leave them. Either way each group runs one
+        GEMM over the patches of its tokens.
         """
-        if patches.shape[-1] != self.patch or patches.shape[-2] != self.patch:
-            raise ValueError(f"patch size mismatch: got {patches.shape[-2:]}, expected {self.patch}")
-        groups = self.setting.groups_for(patches.shape[-3])
-        if choice is not None:
-            return self._embed_chosen(patches, groups, choice)
-        n = patches.shape[-4]
-        lead = patches.shape[:-4]
-        pieces = []
-        for chan, emb in zip(groups, self.embedders):
-            flat = patches[..., chan, :, :].reshape(lead + (n, len(chan) * self.patch * self.patch))
-            pieces.append(emb(Tensor(flat)))
-        tokens = concat(pieces, axis=-2) if len(pieces) > 1 else pieces[0]
-        group_ids = np.repeat(np.arange(self.setting.num_groups), n)
-        position_ids = np.tile(np.arange(n), self.setting.num_groups)
-        return GroupedTokens(tokens, group_ids, position_ids)
-
-    def _embed_chosen(self, patches, groups, choice) -> GroupedTokens:
-        lead_n = patches.shape[:-3]
-        if choice.shape != lead_n:
-            raise ValueError(f"group choice shape {choice.shape}, expected {lead_n}")
-        flat = patches.reshape((-1,) + patches.shape[-3:])
-        c = choice.reshape(-1)
-        rows = [np.flatnonzero(c == g) for g in range(self.setting.num_groups)]
-        pieces = [emb(Tensor(flat[r[:, None], chan].reshape(r.size, -1)))
-                  for r, chan, emb in zip(rows, groups, self.embedders) if r.size]
-        tokens = concat(pieces, axis=0) if len(pieces) > 1 else pieces[0]
-        order = np.concatenate(rows)                # the pieces' rows, as patch indices
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
-        tokens = gather_rows(tokens, inverse).reshape(lead_n + (self.width,))
-        n = lead_n[-1]
-        return GroupedTokens(tokens, choice, np.broadcast_to(np.arange(n), lead_n).copy())
+        lead, (n, c, p, q) = patches.shape[:-4], patches.shape[-4:]
+        if (p, q) != (self.patch, self.patch):
+            raise ValueError(f"patch size mismatch: got {(p, q)}, expected {self.patch}")
+        if c != len(self.setting.channels):
+            raise ValueError(f"group setting '{self.setting.name}' reads "
+                             f"{len(self.setting.channels)} channels; got an input with {c}")
+        if choice is None:
+            length = self.setting.num_groups * n
+            group_ids = np.arange(length) // n          # shared by every sequence
+        elif choice.shape != lead + (n,):
+            raise ValueError(f"group choice shape {choice.shape}, expected {lead + (n,)}")
+        else:
+            length, group_ids = n, choice
+        shape, positions = lead + (length,), np.arange(length) % n
+        token_group = np.broadcast_to(group_ids, shape).reshape(-1)
+        t = np.arange(token_group.size)
+        source = t // length * n + t % n                # each token's patch
+        flat = patches.reshape((-1, c, p, q))
+        rows = [np.flatnonzero(token_group == g) for g in range(self.setting.num_groups)]
+        # a group that holds every token embeds straight into the token shape
+        pieces = [emb(Tensor(flat[source[r, None], chan].reshape(
+                      (shape if r.size == t.size else (r.size,)) + (-1,))))
+                  for r, chan, emb in zip(rows, self.groups, self.embedders) if r.size]
+        if len(pieces) == 1:
+            return GroupedTokens(pieces[0], group_ids, positions)
+        tokens = concat(pieces, axis=0)
+        order = np.concatenate(rows)                    # the pieces' rows, as tokens
+        if (order != t).any():
+            inverse = np.empty_like(order)
+            inverse[order] = t
+            tokens = gather_rows(tokens, inverse)
+        return GroupedTokens(tokens.reshape(shape + (self.width,)), group_ids, positions)
 
 
 def sincos_position_encoding(grid_h: int, grid_w: int, dim: int, dtype=np.float32) -> np.ndarray:
@@ -223,7 +212,8 @@ class GroupPositionEncoding:
     def __call__(self, tokens: GroupedTokens, grid_h: int, grid_w: int) -> GroupedTokens:
         pe = self.position_table(grid_h, grid_w)
         ge_rows = gather_rows(self.group_table, tokens.group_ids)
-        enc = concat([ge_rows, Tensor(pe[tokens.position_ids])], axis=-1)
+        pe_rows = np.broadcast_to(pe[tokens.position_ids], ge_rows.shape[:-1] + (self.d_pe,))
+        enc = concat([ge_rows, Tensor(pe_rows)], axis=-1)
         return GroupedTokens(tokens.tokens + enc, tokens.group_ids, tokens.position_ids)
 
 
@@ -253,4 +243,4 @@ def sample_groups(tokens: GroupedTokens, rng: np.random.Generator) -> GroupedTok
     choice = draw_groups(g, lead + (n,), rng)
     idx = choice * n + np.arange(n)
     out = gather_seq(tokens.tokens, idx)
-    return GroupedTokens(out, choice, np.broadcast_to(np.arange(n), lead + (n,)).copy())
+    return GroupedTokens(out, choice, np.arange(n))

@@ -94,7 +94,7 @@ class PretrainModel:
         t = self.backbone.embed(patches, grid, grid, choice)
         if cfg.dropout > 0:
             t = GroupedTokens(dropout(t.tokens, cfg.dropout, rng), t.group_ids, t.position_ids)
-        z = self.backbone.encode(t, cfg.same_group_masking)
+        z = self.backbone.encoder(t, cfg.same_group_masking)
         return GroupedTokens(z, t.group_ids, t.position_ids)
 
     def forward_step(self, images: list[RasterImage], rng: np.random.Generator,
@@ -115,10 +115,7 @@ class PretrainModel:
             zr = self._encode(ref_patches, grid_ref, rng)
 
         # per-token targets: a token at spatial position i inherits h(i)
-        pos_ids = zq.position_ids
-        if pos_ids.ndim > 1:        # per-view draws all enumerate 0..N-1
-            pos_ids = np.arange(l_q)
-        token_corrs = [Correspondence(c.h[pos_ids]) for c in corrs]
+        token_corrs = [Correspondence(c.h[zq.position_ids]) for c in corrs]
 
         u = self._cross_attend(zq, zr, b, rng) if zr is not None and cfg.eta < 1.0 else zq.tokens
         u_flat = u.reshape(b * qv, l_q, cfg.width)
@@ -161,9 +158,6 @@ class PretrainModel:
         visible = gather_seq(zr.tokens, idx)                     # (B, keep, d)
         r_groups = np.broadcast_to(zr.group_ids, (b, l_ref))
         vis_groups = np.take_along_axis(r_groups, idx, axis=1)   # (B, keep)
-        q_groups = zq.group_ids
-        if q_groups.ndim == 1:
-            q_groups = np.broadcast_to(q_groups, (b, cfg.queries_per_ref, zq.length))
         vis_b = visible.reshape(b, 1, keep, cfg.width)
-        return self.cross(zq.tokens, vis_b, q_groups, vis_groups[:, None, :],
+        return self.cross(zq.tokens, vis_b, zq.group_ids, vis_groups[:, None, :],
                           cfg.same_group_masking)

@@ -27,13 +27,12 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, width: int, dtype=np.float32, eps: float = 1e-6):
+    def __init__(self, width: int, dtype=np.float32):
         self.gain = Tensor(np.ones(width, dtype=dtype), requires_grad=True)
         self.bias = Tensor(np.zeros(width, dtype=dtype), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layernorm(x, self.gain, self.bias, eps=self.eps)
+        return layernorm(x, self.gain, self.bias)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}

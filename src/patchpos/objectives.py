@@ -113,7 +113,8 @@ def sinkhorn_knopp(scores: np.ndarray, iterations: int = 3, tau: float = 1.0) ->
 
 
 class ClusterHead:
-    """Two-layer projector plus learnable cluster prototypes.
+    """Two-layer projector (hidden layer twice the width) plus learnable
+    cluster prototypes.
 
     Projected vectors are L2-normalized before comparing against the
     prototype rows; prototype rows are re-normalized to unit length after
@@ -121,11 +122,11 @@ class ClusterHead:
     """
 
     def __init__(self, rng, width: int, num_prototypes: int, proto_dim: int | None = None,
-                 hidden: int | None = None, tau: float = 0.05, dtype=np.float32):
+                 tau: float = 0.05, dtype=np.float32):
         self.tau = tau
         self.proto_dim = proto_dim or width
-        self.fc1 = Linear(rng, width, hidden or 2 * width, dtype=dtype)
-        self.fc2 = Linear(rng, hidden or 2 * width, self.proto_dim, dtype=dtype)
+        self.fc1 = Linear(rng, width, 2 * width, dtype=dtype)
+        self.fc2 = Linear(rng, 2 * width, self.proto_dim, dtype=dtype)
         protos = rng.standard_normal((num_prototypes, self.proto_dim))
         protos /= np.linalg.norm(protos, axis=1, keepdims=True)
         self.prototypes = Tensor(protos.astype(dtype), requires_grad=True)

@@ -93,13 +93,14 @@ class SegmentationModel:
         return {**self.backbone.params(), **self.decoder.params("decoder")}
 
     def forward(self, images: np.ndarray) -> Tensor:
-        """(B, C, H, W) standardized images -> (B, classes, H, W) logits."""
+        """(B, C, H, W) standardized images whose C channels are the group
+        setting's ``channels`` -> (B, classes, H, W) logits."""
         cfg = self.cfg
         B, _, H, W = images.shape
         gh, gw = H // cfg.patch_size, W // cfg.patch_size
         patches = patchify(images, cfg.patch_size)          # (B, N, C, P, P)
         tokens = self.backbone.embed(patches, gh, gw)        # (B, G*N, d)
-        z = self.backbone.encode(tokens, self.same_group_masking)
+        z = self.backbone.encoder(tokens, self.same_group_masking)
         g = self.backbone.setting.num_groups
         n = gh * gw
         z = z.reshape(B, g, n, cfg.width).mean(axis=1)       # all groups kept, averaged
@@ -175,8 +176,9 @@ class FinetuneResult:
     model: SegmentationModel
 
 
-def _standardized_images(reader: DatasetReader, ids) -> np.ndarray:
-    return np.stack([reader.sample(int(i)).data for i in ids])
+def read_images(reader: DatasetReader, ids, model: SegmentationModel) -> np.ndarray:
+    """Samples ``ids``, standardized, in the channels ``model`` reads."""
+    return np.stack([reader.sample(int(i), model.backbone.setting.channels).data for i in ids])
 
 
 def evaluate(model: SegmentationModel, images: np.ndarray, labels: np.ndarray,
@@ -219,16 +221,19 @@ def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
     val_ids, train_ids = order[:n_val], order[n_val:]
     if train_ids.size == 0:
         raise ValueError("no training samples left after the validation split")
-    train_x = _standardized_images(reader, train_ids)
+    if cfg.batch_size > train_ids.size:
+        raise ConfigFileError(f"config key 'batch_size': {cfg.batch_size} is larger than the "
+                              f"{train_ids.size} training samples")
+    train_x = read_images(reader, train_ids, model)
     train_y = labels[train_ids]
-    val_x = _standardized_images(reader, val_ids) if n_val else None
+    val_x = read_images(reader, val_ids, model) if n_val else None
     val_y = labels[val_ids] if n_val else None
 
     opt = AdamW(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     warmup = int(round(cfg.warmup_frac * cfg.steps))
     steps_to_threshold = None
     for step in range(cfg.steps):
-        ids = rng.integers(0, len(train_x), size=min(cfg.batch_size, len(train_x)))
+        ids = rng.integers(0, len(train_x), size=cfg.batch_size)
         logits = model.forward(train_x[ids])
         loss = pixel_cross_entropy(logits, train_y[ids], cfg.ignore_label)
         opt.zero_grad()

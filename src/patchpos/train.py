@@ -9,7 +9,7 @@ import re
 import numpy as np
 
 from .checkpoint import check_config_hash, load_checkpoint, load_params, save_checkpoint
-from .config import PretrainConfig
+from .config import ConfigFileError, PretrainConfig
 from .data import DatasetReader
 from .model import PretrainModel
 from .optim import AdamW, GradientError, cosine_lr
@@ -19,6 +19,12 @@ log = logging.getLogger(__name__)
 
 class TrainingAborted(RuntimeError):
     pass
+
+
+def _aborted(reason: str, ckpt_path: str) -> TrainingAborted:
+    """The error that ends a run, naming the last checkpoint it can resume from."""
+    last = ckpt_path if os.path.exists(ckpt_path) else "none"
+    return TrainingAborted(f"{reason}; last good checkpoint: {last}")
 
 
 def step_rng(seed: int, global_step: int) -> np.random.Generator:
@@ -86,8 +92,11 @@ def pretrain(cfg: PretrainConfig, out_dir: str, resume: str | None = None,
     reader = DatasetReader(cfg.dataset)
     if len(reader) == 0:
         raise ValueError(f"dataset '{cfg.dataset}' holds no samples")
+    if cfg.batch_size > len(reader):
+        raise ConfigFileError(f"config key 'batch_size': {cfg.batch_size} is larger than the "
+                              f"{len(reader)} samples of dataset '{cfg.dataset}'")
     model = PretrainModel(cfg, reader.channel_tags)
-    steps_per_epoch = max(1, len(reader) // cfg.batch_size)
+    steps_per_epoch = len(reader) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
     # max_steps caps execution only; the lr schedule always spans total_steps
     # so an interrupted-then-resumed run matches an uninterrupted one.
@@ -105,6 +114,7 @@ def pretrain(cfg: PretrainConfig, out_dir: str, resume: str | None = None,
     metrics_path = os.path.join(out_dir, "metrics.log")
     metrics: list[dict] = []
     global_step = start_step
+    saved_at = None         # the step of the last checkpoint this run wrote
     kept = _logged_through(metrics_path, start_step) if resume else []
     with open(metrics_path, "w", encoding="utf-8") as metrics_file:
         metrics_file.writelines(kept)
@@ -121,9 +131,7 @@ def pretrain(cfg: PretrainConfig, out_dir: str, resume: str | None = None,
                              if cfg.noise_reference else None)
                 loss, report = model.forward_step(images, rng, noise_rng)
                 if not math.isfinite(report.combined):
-                    raise TrainingAborted(
-                        f"non-finite loss at step {global_step}; last good checkpoint: "
-                        f"{ckpt_path if os.path.exists(ckpt_path) else 'none'}")
+                    raise _aborted(f"non-finite loss at step {global_step}", ckpt_path)
                 opt.zero_grad()
                 loss.backward()
                 clip_gradients(opt.params, cfg.grad_clip)
@@ -131,9 +139,7 @@ def pretrain(cfg: PretrainConfig, out_dir: str, resume: str | None = None,
                 try:
                     opt.step(lr=lr)
                 except GradientError as e:
-                    raise TrainingAborted(
-                        f"{e}; last good checkpoint: "
-                        f"{ckpt_path if os.path.exists(ckpt_path) else 'none'}") from e
+                    raise _aborted(str(e), ckpt_path) from e
                 if model.cluster is not None:
                     model.cluster.renormalize_prototypes()
                 global_step += 1
@@ -146,9 +152,11 @@ def pretrain(cfg: PretrainConfig, out_dir: str, resume: str | None = None,
             if (epoch + 1) % cfg.checkpoint_every_epochs == 0 or epoch == cfg.epochs - 1:
                 save_run_checkpoint(ckpt_path, model, opt, global_step,
                                     global_step // steps_per_epoch)
+                saved_at = global_step
             if global_step >= stop_step:
                 break
-        save_run_checkpoint(ckpt_path, model, opt, global_step,
-                            global_step // steps_per_epoch)
+        if saved_at != global_step:
+            save_run_checkpoint(ckpt_path, model, opt, global_step,
+                                global_step // steps_per_epoch)
     return {"checkpoint": ckpt_path, "metrics": metrics, "metrics_log": metrics_path,
             "model": model, "steps": global_step}

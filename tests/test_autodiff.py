@@ -117,6 +117,22 @@ def test_elementwise_functions():
     check(lambda b: ad.sqrt(b).sum(), b)
 
 
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_on_a_0d_tensor_matches_the_1_element_case(dtype):
+    def forward_backward(value):
+        x = Tensor(value, requires_grad=True)
+        out = ad.gelu(x)
+        out.sum().backward()
+        return out.data, x.grad
+
+    for v in [0.3, -1.7, 0.0, 6.0]:
+        out0, grad0 = forward_backward(dtype(v))
+        out1, grad1 = forward_backward(np.array([v], dtype=dtype))
+        assert out0.shape == grad0.shape == () and out0.dtype == grad0.dtype == dtype
+        assert out0 == out1[0] and grad0 == grad1[0]
+
+
 def test_gather_rows():
     rng = np.random.default_rng(6)
     a = t64(rng, 5, 3)

@@ -1,4 +1,6 @@
 """Channel grouping: presets, embedding layout, encodings, group sampling."""
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,13 +76,49 @@ def test_embedder_group_major_layout():
 def test_embedder_token_count_scales_with_groups():
     rng = np.random.default_rng(0)
     tags = ALL_BANDS
-    patches = np.zeros((36, len(tags), 8, 8), dtype=np.float32)
     for name, g in [("all", 1), ("s2-similarity", 3), ("best", 6)]:
-        emb = GroupEmbedder(rng, build_group_setting(name, tags), 8, 16)
+        setting = build_group_setting(name, tags)
+        patches = np.zeros((36, len(setting.channels), 8, 8), dtype=np.float32)
+        emb = GroupEmbedder(rng, setting, 8, 16)
         assert emb(patches).tokens.shape == (g * 36, 16), name
     # G=3 on a 6x6 grid gives the documented 108 tokens
     emb = GroupEmbedder(rng, build_group_setting("s2-similarity", tags), 8, 16)
-    assert emb(patches).tokens.shape[0] == 108
+    assert emb(np.zeros((36, 10, 8, 8), dtype=np.float32)).tokens.shape[0] == 108
+
+
+def tape_ops(root):
+    """Counts of the non-leaf ops on the tape that built ``root``."""
+    seen, stack, ops = {id(root)}, [root], Counter()
+    while stack:
+        node = stack.pop()
+        if node._op != "leaf":
+            ops[node._op] += 1
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return ops
+
+
+@pytest.mark.parametrize("spec, lead, sampled, ops", [
+    ("all", (), False, {"linear": 1}),
+    ("all", (3, 2), False, {"linear": 1}),
+    ("all", (3, 2), True, {"linear": 1}),
+    ("B2|B3,B4", (), False, {"linear": 2, "concat": 1, "reshape": 1}),
+    ("B2|B3,B4", (3,), False, {"linear": 2, "concat": 1, "gather_rows": 1, "reshape": 1}),
+], ids=["G1", "G1-batched", "G1-sampled", "G2", "G2-batched"])
+def test_embedder_tape(spec, lead, sampled, ops):
+    # one GEMM per group; the rows are permuted only when the groups' pieces
+    # are not already in token order, and G = 1 embeds straight into shape
+    setting = build_group_setting(spec, ["B2", "B3", "B4"])
+    emb = GroupEmbedder(np.random.default_rng(0), setting, 2, 8)
+    patches = np.random.default_rng(1).standard_normal(lead + (4, 3, 2, 2)).astype(np.float32)
+    choice = np.zeros(lead + (4,), dtype=np.int64) if sampled else None
+    out = emb(patches, choice)
+    length = 4 if sampled else 4 * setting.num_groups
+    assert out.tokens.shape == lead + (length, 8)
+    assert np.array_equal(out.position_ids, np.arange(length) % 4)
+    assert tape_ops(out.tokens) == ops
 
 
 def test_sincos_encoding_closed_form():
@@ -160,34 +198,34 @@ def test_sample_groups_uniform_chi_square():
 
 
 def test_setting_channels_and_pruned_groups():
+    # the embedder's groups index the pruned subset ``channels``
+    rng = np.random.default_rng(0)
     s = build_group_setting("best", ALL_BANDS)
     unused = ["B5", "B6", "B8", "B9", "B10", "B12", "D-HV"]
     assert [ALL_BANDS[c] for c in s.channels] == [b for b in ALL_BANDS if b not in unused]
-    for full, pruned in zip(s.groups, s.pruned_groups):
+    emb = GroupEmbedder(rng, s, 2, 8)
+    for full, pruned in zip(s.groups, emb.groups):
         assert [s.channels[c] for c in pruned] == full
-    assert s.groups_for(22) == s.groups and s.groups_for(15) == s.pruned_groups
-    with pytest.raises(ValueError, match="15 of 22"):
-        s.groups_for(4)
     # B1 sits in two groups of s2+s1-mixed; both point at the one pruned channel
     mixed = build_group_setting("s2+s1-mixed", ALL_BANDS)
     b1 = mixed.channels.index(ALL_BANDS.index("B1"))
-    assert mixed.pruned_groups[3][0] == mixed.pruned_groups[4][0] == b1
+    emb = GroupEmbedder(rng, mixed, 2, 8)
+    assert emb.groups[3][0] == emb.groups[4][0] == b1
     explicit = build_group_setting("B2,B3|B11,B12", ALL_BANDS)
-    assert explicit.pruned_groups == [[0, 1], [2, 3]]
+    assert GroupEmbedder(rng, explicit, 2, 8).groups == [[0, 1], [2, 3]]
     assert [ALL_BANDS[c] for c in explicit.channels] == ["B2", "B3", "B11", "B12"]
-    # every channel used: the two layouts coincide
-    assert build_group_setting("all", ["B2", "B3"]).pruned_groups == [[0, 1]]
+    # every channel used: the subset is the dataset's layout
+    assert GroupEmbedder(rng, build_group_setting("all", ["B2", "B3"]), 2, 8).groups == [[0, 1]]
 
 
-def test_embedder_reads_full_or_pruned_channels():
+def test_embedder_rejects_the_full_layout_for_a_partial_setting():
     rng = np.random.default_rng(3)
     setting = build_group_setting("s2+s1-mixed", ALL_BANDS)
     emb = GroupEmbedder(rng, setting, patch=4, width=8)
     full = rng.standard_normal((2, 5, 22, 4, 4)).astype(np.float32)
-    pruned = full[:, :, setting.channels]
-    assert np.array_equal(emb(full).tokens.data, emb(pruned).tokens.data)
-    with pytest.raises(ValueError, match="got an input with 3"):
-        emb(full[:, :, :3])
+    with pytest.raises(ValueError, match="'s2\\+s1-mixed' reads 19 channels; got an input with 22"):
+        emb(full)
+    assert emb(full[:, :, setting.channels]).tokens.shape == (2, 5 * 5, 8)
 
 
 def embed_all_then_gather(emb, enc, patches, grid, choice):
@@ -195,16 +233,15 @@ def embed_all_then_gather(emb, enc, patches, grid, choice):
     then keep the chosen group's token per position."""
     t = enc(emb(patches), *grid)
     n = patches.shape[-4]
-    return GroupedTokens(gather_seq(t.tokens, choice * n + np.arange(n)), choice,
-                         np.broadcast_to(np.arange(n), choice.shape))
+    return GroupedTokens(gather_seq(t.tokens, choice * n + np.arange(n)), choice, np.arange(n))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(dtype=st.sampled_from([np.float64, np.float32]),
        lead=st.sampled_from([(), (3,), (2, 3)]), grid=st.sampled_from([(1, 1), (2, 3), (4, 4)]),
        spec=st.sampled_from(["B2|B3", "B2,B3|B3,B4|B4", "B4|B2,B3,B4|B2", "B2,B4|B3"]),
-       pruned=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_sample_before_embed_matches_embed_all(dtype, lead, grid, spec, pruned, seed):
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_before_embed_matches_embed_all(dtype, lead, grid, spec, seed):
     tags = ["B2", "B3", "B4", "B8"]
     setting = build_group_setting(spec, tags)
     width, p = 16, 2
@@ -213,9 +250,7 @@ def test_sample_before_embed_matches_embed_all(dtype, lead, grid, spec, pruned, 
     enc = GroupPositionEncoding(np.random.default_rng(seed + 1), setting.num_groups, width,
                                 dtype=dtype)
     rng = np.random.default_rng(seed + 2)
-    patches = rng.standard_normal(lead + (n, len(tags), p, p)).astype(dtype)
-    if pruned:
-        patches = np.ascontiguousarray(patches[..., setting.channels, :, :])
+    patches = rng.standard_normal(lead + (n, len(setting.channels), p, p)).astype(dtype)
     weight = rng.standard_normal(lead + (n, width)).astype(dtype)
     params = list(emb.params("e").values()) + list(enc.params("g").values())
 
@@ -226,7 +261,7 @@ def test_sample_before_embed_matches_embed_all(dtype, lead, grid, spec, pruned, 
         out = path(choice)
         (out.tokens * Tensor(weight)).sum().backward()
         assert np.array_equal(out.group_ids, choice)
-        assert np.array_equal(out.position_ids, np.broadcast_to(np.arange(n), lead + (n,)))
+        assert out.position_ids.shape == (n,) and np.array_equal(out.position_ids, np.arange(n))
         # a group no patch chose gets no gradient, which AdamW reads as zero
         return [out.tokens.data] + [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                                     for t in params]

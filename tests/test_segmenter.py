@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from patchpos import segmenter
 from patchpos.autodiff import Tensor, conv_transpose2d, cross_entropy_from_logits, gather_rows
 from patchpos.checkpoint import CheckpointError
 from patchpos.config import ConfigFileError, FinetuneConfig, PretrainConfig
-from patchpos.data import generate_synthetic_segmentation, read_labels
+from patchpos.data import ALL_BANDS, DatasetReader, generate_synthetic_segmentation, read_labels
 from patchpos.model import PretrainModel
 from patchpos.optim import AdamW
 from patchpos.train import save_run_checkpoint
@@ -212,7 +213,7 @@ def test_finetune_loads_every_backbone_parameter(tmp_path):
     pcfg = PretrainConfig(depth=1, width=16, heads=2, h_ref=32, h_q=16, group_setting="B2|B3")
     pre = pretraining_checkpoint(tmp_path / "pre.ckpt", pcfg, ["B2", "B3"])
     fcfg = FinetuneConfig(dataset=str(img), labels=str(lbl), checkpoint=str(tmp_path / "pre.ckpt"),
-                          steps=1, lr=1e-12, weight_decay=0.0, val_fraction=0.0)
+                          steps=1, batch_size=4, lr=1e-12, weight_decay=0.0, val_fraction=0.0)
     res = finetune(fcfg, seed=0)
     backbone = res.model.backbone.params()
     assert set(backbone) == {k for k in pre.params()
@@ -236,6 +237,52 @@ def test_finetune_rejects_a_checkpoint_of_another_shape(tmp_path, override, name
     other = PretrainConfig(**{**pcfg.to_dict(), **override})
     with pytest.raises(CheckpointError, match=re.escape(f"'{ckpt}': parameter '{name}'")):
         finetune(fcfg, pretrain_cfg=other, seed=0)
+
+
+def test_finetune_rejects_a_batch_larger_than_the_training_split(tmp_path):
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 8, 32, 32, ["B2"], 0)
+    pcfg = PretrainConfig(depth=1, width=16, heads=2)
+    fcfg = FinetuneConfig(dataset=str(img), labels=str(lbl), steps=1, batch_size=7,
+                          val_fraction=0.25)
+    with pytest.raises(ConfigFileError, match="'batch_size': 7 is larger than the 6 training"):
+        finetune(fcfg, pretrain_cfg=pcfg)
+    finetune(FinetuneConfig(**{**fcfg.to_dict(), "batch_size": 6}), pretrain_cfg=pcfg)
+
+
+def test_finetune_reads_only_the_grouped_channels(tmp_path, monkeypatch):
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 8, 32, 32, ALL_BANDS, 0)
+    pcfg = PretrainConfig(depth=1, width=16, heads=2, h_ref=32, h_q=16,
+                          group_setting="B2,B3|B11,B12")
+    fcfg = FinetuneConfig(dataset=str(img), labels=str(lbl), steps=2, batch_size=4,
+                          eval_every=1)
+    channels = [ALL_BANDS.index(b) for b in ["B2", "B3", "B11", "B12"]]
+    read = []
+    real_sample = DatasetReader.sample
+
+    def sample(reader, i, *args, **kwargs):
+        image = real_sample(reader, i, *args, **kwargs)
+        read.append(image.data.shape[0])
+        return image
+
+    monkeypatch.setattr(DatasetReader, "sample", sample)
+    res = finetune(fcfg, pretrain_cfg=pcfg, seed=0)
+    assert res.model.backbone.setting.channels == channels
+    assert read == [len(channels)] * 8
+
+    # reference: full 22-band images, sliced to the grouped channels here
+    def full_then_sliced(reader, ids, model):
+        return np.stack([real_sample(reader, int(i)).data for i in ids])[:, channels]
+
+    monkeypatch.setattr(segmenter, "read_images", full_then_sliced)
+    ref = finetune(fcfg, pretrain_cfg=pcfg, seed=0)
+    assert res.miou == ref.miou and res.train_miou == ref.train_miou
+    for name, p in res.model.params().items():
+        assert np.array_equal(p.data, ref.model.params()[name].data), name
+    x = np.stack([real_sample(DatasetReader(img), i).data for i in range(2)])
+    with pytest.raises(ValueError, match="reads 4 channels; got an input with 22"):
+        res.model.forward(x)
 
 
 def test_evaluate_batching_consistent(tmp_path):

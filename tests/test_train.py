@@ -8,7 +8,8 @@ import pytest
 
 from patchpos.checkpoint import (CheckpointError, check_config_hash,
                                  load_checkpoint, save_checkpoint)
-from patchpos.config import PretrainConfig
+from patchpos import train
+from patchpos.config import ConfigFileError, PretrainConfig
 from patchpos.data import generate_synthetic_dataset
 from patchpos.model import PretrainModel
 from patchpos.optim import AdamW
@@ -101,6 +102,37 @@ def test_empty_dataset_rejected(tmp_path):
         pretrain(small_cfg(path), tmp_path / "out")
 
 
+def test_pretrain_rejects_a_batch_larger_than_the_dataset(dataset, tmp_path):
+    with pytest.raises(ConfigFileError, match="'batch_size': 17 is larger than the 16 samples"):
+        pretrain(small_cfg(dataset, batch_size=17), tmp_path / "out")
+    assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+
+
+def saved_steps(monkeypatch):
+    """The step of every checkpoint ``pretrain`` writes from now on."""
+    steps = []
+    real = train.save_run_checkpoint
+
+    def save(path, model, opt, global_step, epoch):
+        steps.append(global_step)
+        real(path, model, opt, global_step, epoch)
+
+    monkeypatch.setattr(train, "save_run_checkpoint", save)
+    return steps
+
+
+def test_each_checkpoint_is_written_once(dataset, tmp_path, monkeypatch):
+    steps = saved_steps(monkeypatch)
+    null = open("/dev/null", "w")
+    pretrain(small_cfg(dataset, epochs=2), tmp_path / "a", log_stream=null)
+    assert steps == [4, 8]      # one per epoch end, none repeated after the loop
+    # a max_steps stop mid-epoch, between epoch-end saves, still writes its step
+    steps.clear()
+    res = pretrain(small_cfg(dataset, epochs=2, checkpoint_every_epochs=2),
+                   tmp_path / "b", max_steps=3, log_stream=null)
+    assert steps == [3] and load_checkpoint(res["checkpoint"])[1]["step"] == 3
+
+
 def test_nonfinite_loss_aborts(dataset, tmp_path, monkeypatch):
     cfg = small_cfg(dataset)
 
@@ -112,7 +144,8 @@ def test_nonfinite_loss_aborts(dataset, tmp_path, monkeypatch):
         return loss, report
 
     monkeypatch.setattr(PretrainModel, "forward_step", poisoned)
-    with pytest.raises(TrainingAborted, match="non-finite loss"):
+    with pytest.raises(TrainingAborted, match="non-finite loss at step 0; last good "
+                                              "checkpoint: none"):
         pretrain(cfg, tmp_path / "out", log_stream=open("/dev/null", "w"))
 
 
