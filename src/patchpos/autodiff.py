@@ -4,9 +4,14 @@ A small dynamic tape: every operation records its parents and a closure
 that maps the output gradient to parent gradients. Values are numpy
 arrays; float32 by default, float64 when the caller builds float64
 leaves (gradient checks rely on this).
+
+The tape lives for one forward and one backward pass: ``backward()``
+drops each node's closure and parents as it reaches the node, which frees
+the arrays the closure kept. Under ``no_grad()`` no tape is recorded.
 """
 from __future__ import annotations
 
+import contextlib
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +32,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Inference: tensors made inside record no parents and no backward
+    closure, so nothing outlives the values a caller keeps. The switch is
+    process-wide, not per thread."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 class Tensor:
     """A value node on the autodiff tape."""
 
@@ -36,6 +57,8 @@ class Tensor:
         self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float32)
+        if not _grad_enabled:
+            parents, backward = (), None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self.grad: Optional[np.ndarray] = None
         self._parents = tuple(parents)
@@ -59,15 +82,14 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- tape replay ---------------------------------------------------------
 
     def backward(self) -> None:
-        """Populate ``.grad`` on every requires_grad node reachable from here.
+        """Populate ``.grad`` on every requires_grad leaf reachable from here.
 
-        Only valid on scalar outputs.
+        Only valid on scalar outputs. The pass drops each node's closure and
+        parents as it reaches the node, so a tape supports one backward
+        pass; a second raises ``RuntimeError``.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
@@ -89,14 +111,18 @@ class Tensor:
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
+            step, parents = node._backward, node._parents
+            if step is None:
+                if node.requires_grad and node._op != "leaf":
+                    raise RuntimeError(f"backward() reached a {node._op} node whose tape was "
+                                       f"released by an earlier backward()")
+                if g is not None and node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
+                continue
+            node._backward, node._parents = None, ()
             if g is None:
                 continue
-            if node.requires_grad and node._backward is None:
-                node.grad = g if node.grad is None else node.grad + g
-            if node._backward is None:
-                continue
-            parent_grads = node._backward(g)
-            for p, pg in zip(node._parents, parent_grads):
+            for p, pg in zip(parents, step(g)):
                 if pg is None or not p.requires_grad:
                     continue
                 if id(p) in grads:
@@ -262,12 +288,15 @@ def gelu(x: Tensor) -> Tensor:
     error is at most 1.5e-7 (plus float32 rounding on float32 inputs).
 
     Forward evaluates exp(-x²/2) once, for erf, and reuses it to build the
-    derivative Φ(x) + x·φ(x), so backward is one multiply.
+    derivative Φ(x) + x·φ(x), so backward is one multiply. Under
+    ``no_grad()`` the derivative is not built.
     """
     xd = x.data
     d, gauss = _erf(xd * _INV_SQRT2)    # gauss = exp(-x²/2)
     d += 1.0
     out_data = 0.5 * xd * d
+    if not _grad_enabled:
+        return Tensor(out_data, op="gelu")
     gauss *= xd
     gauss *= _INV_SQRT2PI
     d *= 0.5
@@ -409,6 +438,49 @@ def cross_entropy_from_logits(logits: Tensor, target_index) -> Tensor:
     lse = logsumexp_lastdim(logits)[..., 0]
     picked = take_lastdim(logits, idx)
     return lse - picked
+
+
+def cross_entropy(logits: Tensor, targets, axis: int = -1, weights=None) -> Tensor:
+    """Per-position -log softmax(logits)[target] along ``axis``, times
+    ``weights`` when given, as one tape node.
+
+    ``targets`` (and ``weights``) have the shape of ``logits`` without
+    ``axis``, and so does the result. The values and gradients equal those
+    of ``cross_entropy_from_logits`` (times the weights) bit for bit when
+    ``axis`` is last or the axis is shorter than 8, where numpy sums the
+    exponentials in the same order: forward is log(Σ exp(x−m)) + m − x[t],
+    backward e·((g·w)/Σe) with g·w subtracted at the target. The gradient is
+    laid out with ``axis`` last in memory, as the composite's transpose
+    leaves it, so reductions over it downstream add in the same order.
+    """
+    axis = axis % logits.ndim
+    idx = np.expand_dims(np.asarray(targets), axis)
+    if idx.shape != logits.shape[:axis] + (1,) + logits.shape[axis + 1:]:
+        raise ShapeError(f"cross_entropy targets of shape {np.shape(targets)} do not match "
+                         f"logits {logits.shape} without axis {axis}")
+    if idx.size and (idx.min() < 0 or idx.max() >= logits.shape[axis]):
+        raise IndexError(f"cross_entropy target out of range for {logits.shape[axis]} classes")
+    x = logits.data
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=axis, keepdims=True)
+    out = np.log(s)
+    out += m
+    out -= np.take_along_axis(x, idx, axis=axis)
+    w = None if weights is None else np.asarray(weights, dtype=x.dtype)
+    if w is not None:
+        out *= np.expand_dims(w, axis)
+
+    def bwd(g):
+        gw = np.expand_dims(g if w is None else g * w, axis)
+        q = gw / s
+        # classes innermost in memory, where the composite's transpose put them
+        gx = np.moveaxis(np.empty_like(np.moveaxis(e, axis, -1), order="C"), -1, axis)
+        np.multiply(e, q, out=gx)
+        np.put_along_axis(gx, idx, np.take_along_axis(gx, idx, axis=axis) - gw, axis=axis)
+        return (gx,)
+
+    return Tensor(np.squeeze(out, axis), parents=(logits,), op="cross_entropy", backward=bwd)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import data
 from .config import FinetuneConfig, PretrainConfig
-from .segmenter import (evaluate, finetune_runs, load_finetuned, read_images,
+from .segmenter import (finetune_runs, iou_miou, load_finetuned, predict, read_images,
                         save_finetuned, write_pgm)
 from .train import pretrain
 from .views import (RasterImage, compute_correspondence, sample_query_views,
@@ -75,18 +75,17 @@ def cmd_eval(args):
     labels = data.read_labels(args.labels)
     model = load_finetuned(args.checkpoint, reader.channel_tags)
     images = read_images(reader, range(len(reader)), model)
-    per_class, miou = evaluate(model, images, labels, args.ignore_label)
+    masks = predict(model, images)
+    per_class, miou = iou_miou(masks, labels, model.classes, args.ignore_label)
     for c, iou in enumerate(per_class):
         if not np.isnan(iou):
             print(f"iou_class{c}={iou:.4f}")
     print(f"miou={'none' if miou is None else f'{miou:.4f}'}")
     if args.dump_pgm:
         os.makedirs(args.dump_pgm, exist_ok=True)
-        for i in range(len(images)):
-            logits = model.forward(images[i:i + 1])
-            pred = np.argmax(logits.data, axis=1)[0]
-            write_pgm(os.path.join(args.dump_pgm, f"pred{i:04d}.pgm"), pred, model.classes)
-        print(f"wrote {len(images)} masks to {args.dump_pgm}")
+        for i, mask in enumerate(masks):
+            write_pgm(os.path.join(args.dump_pgm, f"pred{i:04d}.pgm"), mask, model.classes)
+        print(f"wrote {len(masks)} masks to {args.dump_pgm}")
 
 
 def cmd_inspect_correspondence(args):

@@ -108,13 +108,15 @@ class PretrainConfig:
 
     def __post_init__(self):
         _require_positive(self, "batch_size", "h_ref", "h_q", "patch_size", "num_prototypes",
-                          "tau", "lr", "log_every", "checkpoint_every_epochs")
+                          "tau", "lr", "log_every", "checkpoint_every_epochs", "width", "heads",
+                          "mlp_ratio")
         if self.h_ref % self.patch_size or self.h_q % self.patch_size:
             raise ConfigFileError("view sizes must be divisible by patch_size")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigFileError(f"eta must be in [0,1], got {self.eta}")
         if self.width % self.heads:
-            raise ConfigFileError("width must be divisible by heads")
+            raise ConfigFileError(f"config keys 'width' ({self.width}) and 'heads' "
+                                  f"({self.heads}): width must be divisible by heads")
         if self.queries_per_ref < 1:
             raise ConfigFileError("queries_per_ref must be >= 1")
         for lo, hi, name in [(self.ref_scale_min, self.ref_scale_max, "ref_scale"),

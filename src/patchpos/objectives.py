@@ -7,8 +7,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (Tensor, cross_entropy_from_logits, gather_rows, gelu,
-                       log, softmax_lastdim, sqrt)
+from .autodiff import (Tensor, cross_entropy, gather_rows, gelu, log, no_grad,
+                       softmax_lastdim, sqrt)
 from .nn import Linear
 from .views import Correspondence
 
@@ -85,8 +85,7 @@ def position_loss(u: Tensor, head: PositionHead, corrs: Sequence[Correspondence]
         return Tensor(np.zeros((), dtype=u.dtype)), None, 0
     logits = head(u).reshape(n_views * n_q, head.n_ref)
     picked = gather_rows(logits, rows)
-    ce = cross_entropy_from_logits(picked, targets)
-    loss = (ce * Tensor(weights.astype(u.dtype))).sum()
+    loss = cross_entropy(picked, targets, weights=weights).sum()
     acc = float(np.mean(np.argmax(picked.data, axis=-1) == targets))
     return loss, acc, int(rows.size)
 
@@ -154,13 +153,14 @@ def pseudo_labels(z_ref: np.ndarray, head: ClusterHead, positions: np.ndarray,
                   iterations: int = 3) -> np.ndarray:
     """Balanced soft cluster targets for the reference rows at ``positions``.
 
-    The rows enter ``project()`` as a constant and only the values of its
-    output are kept, so no gradient flows into the label branch. Positions
-    repeat (several query patches share a reference patch), so each distinct
-    row is projected once; Sinkhorn still balances over every position.
+    The rows are projected under ``no_grad()``, so the label branch records
+    no tape and no gradient flows into it. Positions repeat (several query
+    patches share a reference patch), so each distinct row is projected
+    once; Sinkhorn still balances over every position.
     """
     unique, inverse = np.unique(positions, return_inverse=True)
-    proj = head.project(Tensor(np.asarray(z_ref)[unique])).data
+    with no_grad():
+        proj = head.project(Tensor(np.asarray(z_ref)[unique])).data
     sims = (proj @ head.prototypes.data.T)[inverse.reshape(-1)]
     return sinkhorn_knopp(sims, iterations=iterations, tau=head.tau)
 

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, conv2d, conv_transpose2d, cross_entropy_from_logits,
-                       gather_rows, gelu)
+from .autodiff import (Tensor, conv2d, conv_transpose2d, cross_entropy, gather_rows, gelu,
+                       no_grad)
 from .checkpoint import load_checkpoint, load_params, save_checkpoint
 from .config import ConfigFileError, FinetuneConfig, PretrainConfig
 from .data import DatasetReader, read_labels
@@ -110,16 +110,16 @@ class SegmentationModel:
 
 def pixel_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_label: int = -1) -> Tensor:
     """Mean cross-entropy over non-ignored pixels. When no pixel is ignored
-    the flattened logits are used as they are, with no row gather."""
-    B, K, H, W = logits.shape
-    flat = logits.transpose((0, 2, 3, 1)).reshape(B * H * W, K)
-    lab = labels.reshape(-1)
+    the (B, K, H, W) logits are used as they are, with no copy or gather."""
+    lab = labels.astype(np.int64)
     valid = np.flatnonzero(lab != ignore_label)
     if valid.size == 0:
         return Tensor(np.zeros((), dtype=logits.dtype))
-    if valid.size < lab.size:
-        flat, lab = gather_rows(flat, valid), lab[valid]
-    return cross_entropy_from_logits(flat, lab.astype(np.int64)).mean()
+    if valid.size == lab.size:
+        return cross_entropy(logits, lab, axis=1).mean()
+    B, K, H, W = logits.shape
+    flat = logits.transpose((0, 2, 3, 1)).reshape(B * H * W, K)
+    return cross_entropy(gather_rows(flat, valid), lab.reshape(-1)[valid]).mean()
 
 
 # -- metrics ----------------------------------------------------------------
@@ -181,14 +181,17 @@ def read_images(reader: DatasetReader, ids, model: SegmentationModel) -> np.ndar
     return np.stack([reader.sample(int(i), model.backbone.setting.channels).data for i in ids])
 
 
+def predict(model: SegmentationModel, images: np.ndarray, batch: int = 8) -> np.ndarray:
+    """(N, H, W) argmax class per pixel, ``batch`` images per forward pass,
+    with no tape recorded."""
+    with no_grad():
+        return np.concatenate([np.argmax(model.forward(images[i:i + batch]).data, axis=1)
+                               for i in range(0, len(images), batch)])
+
+
 def evaluate(model: SegmentationModel, images: np.ndarray, labels: np.ndarray,
              ignore_label: int = -1, batch: int = 8):
-    cm = ConfusionMatrix(model.classes, ignore_label)
-    for i in range(0, len(images), batch):
-        logits = model.forward(images[i:i + batch])
-        pred = np.argmax(logits.data, axis=1)
-        cm.update(pred, labels[i:i + batch])
-    return cm.iou()
+    return iou_miou(predict(model, images, batch), labels, model.classes, ignore_label)
 
 
 def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,

@@ -141,6 +141,11 @@ def test_criterion_2_gradient_suite():
     add("attention", lambda aq, ak, av: (ad.attention(aq, ak, av, 2, abias) ** 2).sum(),
         aq, ak, av)
 
+    # the one-node cross-entropy over a middle class axis, weighted
+    cl, cw = t(2, 3, 4), rng.random((2, 4))
+    add("cross_entropy_node", lambda cl: ad.cross_entropy(
+        cl, np.array([[0, 2, 1, 1], [2, 0, 0, 1]]), axis=1, weights=cw).sum(), cl)
+
     elapsed = time.time() - t0
     worst = max(checks.values())
     worst_name = max(checks, key=checks.get)

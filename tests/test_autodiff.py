@@ -353,10 +353,187 @@ def test_backward_requires_scalar():
         (a + 1.0).backward()
 
 
-def test_detach_blocks_gradient():
-    a = Tensor(np.array([3.0]), requires_grad=True)
-    (a.detach() * a).sum().backward()
-    assert np.allclose(a.grad, 3.0)
+# -- tape lifetime: release after backward, no tape under no_grad ------------
+
+def tape_nodes(root):
+    """Every node reachable from ``root`` through recorded parents."""
+    seen, stack, nodes = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return nodes
+
+
+def replay_grads(root):
+    """Leaf gradients from the recorded closures, in the order ``backward``
+    applies them, leaving the tape as it is."""
+    order, seen = [], set()
+
+    def visit(node):
+        seen.add(id(node))
+        for p in node._parents:
+            if id(p) not in seen and p.requires_grad:
+                visit(p)
+        order.append(node)
+
+    visit(root)
+    grads, leaves = {id(root): np.ones_like(root.data)}, {}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward is None:
+            leaves[id(node)] = g if id(node) not in leaves else leaves[id(node)] + g
+            continue
+        for p, pg in zip(node._parents, node._backward(g)):
+            if pg is not None and p.requires_grad:
+                grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
+    return leaves
+
+
+def small_net(rng, dtype=np.float32):
+    """Leaves and a scalar loss that runs through every kind of tape node the
+    models record."""
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+    x, w, b, gain, bias = leaf(2, 5, 8), leaf(8, 8), leaf(8), leaf(8), leaf(8)
+    h = ad.gelu(ad.layernorm(ad.linear(x, w, b), gain, bias))
+    h = ad.attention(h, h, h, 2) + h
+    rows = ad.gather_rows(h.reshape(10, 8), np.array([0, 3, 3, 9]))
+    img, kern = leaf(1, 2, 4, 4), leaf(3, 2, 3, 3)
+    pix = ad.conv2d(img, kern, padding=1)
+    loss = (ad.cross_entropy(rows, np.array([1, 0, 7, 2]), weights=np.full(4, 0.25)).sum()
+            + ad.cross_entropy(pix, np.zeros((1, 4, 4), dtype=np.int64), axis=1).mean())
+    return [x, w, b, gain, bias, img, kern], loss
+
+
+def test_backward_releases_the_tape():
+    leaves, loss = small_net(np.random.default_rng(20))
+    interior = [n for n in tape_nodes(loss) if n._backward is not None]
+    assert len(interior) > 10
+    want = replay_grads(loss)
+    loss.backward()
+    for node in interior:
+        assert node._parents == () and node._backward is None, node._op
+    for leaf in leaves:
+        assert np.array_equal(leaf.grad, want[id(leaf)])
+    with pytest.raises(RuntimeError, match="released"):
+        loss.backward()
+
+
+def test_backward_through_a_shared_released_node_raises():
+    a = Tensor(np.array([2.0]), requires_grad=True)
+    h = ad.exp(a)
+    (h * 3.0).sum().backward()
+    with pytest.raises(RuntimeError, match="exp node whose tape was released"):
+        (h * h).sum().backward()
+
+
+def test_no_grad_records_no_tape():
+    leaves, loss = small_net(np.random.default_rng(21))
+    with ad.no_grad():
+        _, quiet = small_net(np.random.default_rng(21))
+        assert ad.gelu(leaves[0]).requires_grad is False
+    assert quiet.data.tobytes() == loss.data.tobytes()
+    assert quiet._parents == () and quiet._backward is None and not quiet.requires_grad
+    quiet.backward()    # a value, not a graph: nothing to propagate
+    assert all(leaf.grad is None for leaf in leaves)
+
+
+def test_no_grad_gelu_matches_the_recorded_output():
+    x = Tensor(np.random.default_rng(22).standard_normal((4, 7)).astype(np.float32),
+               requires_grad=True)
+    with ad.no_grad():
+        quiet = ad.gelu(x)
+    assert quiet.data.tobytes() == ad.gelu(x).data.tobytes()
+
+
+def test_no_grad_restores_the_flag_after_an_exception():
+    a = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ZeroDivisionError):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not (a * 2.0).requires_grad
+            raise ZeroDivisionError
+    assert (a * 2.0)._parents and ad._grad_enabled
+
+
+# -- cross_entropy against the composite --------------------------------------
+
+def composite_ce(logits, targets, axis, weights):
+    """The composite formulation: classes moved last, flattened to rows."""
+    x = logits
+    if axis % logits.ndim != logits.ndim - 1:
+        x = logits.transpose(tuple(i for i in range(logits.ndim) if i != axis % logits.ndim)
+                             + (axis % logits.ndim,))
+    rows = x.reshape(-1, x.shape[-1])
+    ce = ad.cross_entropy_from_logits(rows, np.asarray(targets).reshape(-1))
+    if weights is not None:
+        ce = ce * Tensor(np.asarray(weights, dtype=logits.dtype).reshape(-1))
+    return ce.reshape(np.shape(targets))
+
+
+def run_ce(fn, x, targets, axis, weights, reduce):
+    logits = Tensor(x.copy(), requires_grad=True)
+    out = fn(logits, targets, axis, weights)
+    loss = out.sum() if reduce == "sum" else out.mean()
+    loss.backward()
+    return out.data, loss.data, logits.grad
+
+
+def assert_ce_matches_composite(x, targets, axis, weights, reduce):
+    got = run_ce(lambda *a: ad.cross_entropy(*a), x, targets, axis, weights, reduce)
+    want = run_ce(composite_ce, x, targets, axis, weights, reduce)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return got[2], want[2]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_matches_composite_on_weighted_rows(dtype):
+    rng = np.random.default_rng(23)
+    x = (rng.standard_normal((300, 64)) * 4).astype(dtype)
+    targets, weights = rng.integers(0, 64, 300), rng.random(300)
+    assert_ce_matches_composite(x, targets, -1, weights, "sum")
+
+
+def test_cross_entropy_matches_composite_on_nchw():
+    rng = np.random.default_rng(24)
+    x = (rng.standard_normal((8, 2, 64, 64)) * 4).astype(np.float32)
+    got, want = assert_ce_matches_composite(x, rng.integers(0, 2, (8, 64, 64)), 1, None, "mean")
+    # classes innermost in memory, as the composite's transpose leaves the
+    # gradient, so the decoder's bias gradient sums in the same order
+    assert got.strides == want.strides == (2 * 64 * 64 * 4, 4, 64 * 2 * 4, 2 * 4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dtype=st.sampled_from([np.float64, np.float32]), k=st.integers(1, 7),
+       lead=st.lists(st.integers(1, 5), min_size=1, max_size=3), data=st.data(),
+       weighted=st.booleans(), reduce=st.sampled_from(["sum", "mean"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cross_entropy_matches_composite(dtype, k, lead, data, weighted, reduce, seed):
+    rng = np.random.default_rng(seed)
+    axis = data.draw(st.integers(-len(lead) - 1, len(lead)))
+    shape = list(lead)
+    shape.insert(axis % (len(lead) + 1), k)
+    x = (rng.standard_normal(shape) * 5).astype(dtype)
+    targets = rng.integers(0, k, tuple(lead))
+    weights = rng.random(tuple(lead)) if weighted else None
+    assert_ce_matches_composite(x, targets, axis, weights, reduce)
+
+
+def test_cross_entropy_rejects_bad_targets():
+    x = Tensor(np.zeros((3, 4)))
+    with pytest.raises(ad.ShapeError, match="targets"):
+        ad.cross_entropy(x, np.zeros(4, dtype=np.int64))
+    with pytest.raises(IndexError, match="4 classes"):
+        ad.cross_entropy(x, np.array([0, 4, 1]))
 
 
 # -- fused layernorm / attention / gelu against the composite formulas --------

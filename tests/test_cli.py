@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from patchpos.cli import main
-from patchpos.data import DatasetReader
+from patchpos.data import DatasetReader, read_labels
+from patchpos.segmenter import iou_miou, load_finetuned, read_images
 
 
 def test_gen_data_and_inspect(tmp_path, capsys):
@@ -48,7 +49,20 @@ def test_pretrain_finetune_eval_pipeline(tmp_path, capsys):
           "--dump-pgm", str(tmp_path / "masks")])
     out = capsys.readouterr().out
     assert "miou=" in out
-    assert len(list((tmp_path / "masks").glob("*.pgm"))) == 8
+    masks = sorted((tmp_path / "masks").glob("*.pgm"))
+    assert len(masks) == 8
+
+    # each dumped mask is the argmax of one forward pass over the eval batch,
+    # and the printed mIoU is that of the dumped masks
+    reader = DatasetReader(img)
+    model = load_finetuned(tmp_path / "ft" / "finetuned.ckpt", reader.channel_tags)
+    want = np.argmax(model.forward(read_images(reader, range(8), model)).data, axis=1)
+    scale = 255 // (model.classes - 1)
+    got = np.stack([np.frombuffer(p.read_bytes()[-64 * 64:], np.uint8).reshape(64, 64) // scale
+                    for p in masks])
+    assert np.array_equal(got, want)
+    miou = iou_miou(got, read_labels(lbl), model.classes)[1]
+    assert f"miou={miou:.4f}" in out
 
 
 def test_unknown_subcommand_exits():

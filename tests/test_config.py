@@ -86,11 +86,16 @@ def test_finetune_config_from_file(tmp_path):
     ("batch_size", 0), ("log_every", 0), ("checkpoint_every_epochs", 0), ("tau", 0.0),
     ("tau", float("inf")), ("h_ref", 0), ("h_q", 0), ("patch_size", 0),
     ("num_prototypes", 0), ("batch_size", -1), ("lr", 0.0), ("lr", -1e-3),
-    ("lr", float("nan")), ("lr", float("inf")),
+    ("lr", float("nan")), ("lr", float("inf")), ("heads", 0), ("width", 0), ("mlp_ratio", 0),
 ])
 def test_pretrain_config_rejects_non_positive(key, value):
     with pytest.raises(ConfigFileError, match=key):
         PretrainConfig(**{key: value})
+
+
+def test_width_not_divisible_by_heads_names_both_keys():
+    with pytest.raises(ConfigFileError, match=r"'width' \(30\) and 'heads' \(4\)"):
+        PretrainConfig(width=30, heads=4)
 
 
 @pytest.mark.parametrize("key, value", [

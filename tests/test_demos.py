@@ -1,4 +1,4 @@
-"""Every demo script runs to the end."""
+"""Every demo script runs to the end and leaves its temp dir empty."""
 import os
 import subprocess
 import sys
@@ -12,10 +12,13 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_cleanly(demo, tmp_path):
-    env = {**os.environ, "TMPDIR": str(tmp_path),
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = {**os.environ, "TMPDIR": str(tmpdir),
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not any(tmpdir.iterdir()), sorted(p.name for p in tmpdir.iterdir())

@@ -3,7 +3,8 @@ regularizer — closed-form cases plus gradient checks of the loss heads."""
 import numpy as np
 import pytest
 
-from patchpos.autodiff import Tensor, finite_difference_check, softmax_lastdim
+from patchpos import autodiff as ad
+from patchpos.autodiff import Tensor, finite_difference_check, no_grad, softmax_lastdim
 from patchpos.objectives import (ClusterHead, LossReport, PositionHead,
                                  cluster_objective, flatten_correspondences,
                                  mean_entropy_regularizer, position_loss,
@@ -79,6 +80,27 @@ def test_position_loss_gradients():
     assert err < 1e-4
 
 
+def test_position_loss_matches_the_composite_bit_for_bit():
+    # the one cross_entropy node against the composite it replaced
+    rng = np.random.default_rng(7)
+    head = PositionHead(rng, width=16, n_ref=64)
+    corrs = [Correspondence(rng.integers(-1, 64, size=20)) for _ in range(6)]
+    x = rng.standard_normal((6, 20, 16)).astype(np.float32)
+    u = Tensor(x, requires_grad=True)
+    loss = position_loss(u, head, corrs)[0]
+    loss.backward()
+    got = (loss.data, u.grad, head.linear.w.grad)
+    head.linear.w.grad = None
+    ref_u = Tensor(x, requires_grad=True)
+    rows, targets, weights = flatten_correspondences(corrs, 20)
+    picked = ad.gather_rows(head(ref_u).reshape(120, 64), rows)
+    ref = (ad.cross_entropy_from_logits(picked, targets)
+           * Tensor(weights.astype(np.float32))).sum()
+    ref.backward()
+    for g, w in zip(got, (ref.data, ref_u.grad, head.linear.w.grad)):
+        assert g.tobytes() == w.tobytes()
+
+
 def test_acc_at_1():
     head = PositionHead(np.random.default_rng(6), width=2, n_ref=3)
     head.linear.w.data[:] = 0
@@ -141,6 +163,17 @@ def test_prototypes_unit_norm():
     assert np.allclose(np.linalg.norm(head.prototypes.data, axis=1), 1.0, atol=1e-6)
 
 
+def test_project_under_no_grad_is_bit_identical_and_records_no_tape():
+    head = ClusterHead(np.random.default_rng(13), width=8, num_prototypes=16)
+    z = Tensor(np.random.default_rng(14).standard_normal((5, 8)).astype(np.float32),
+               requires_grad=True)
+    with no_grad():
+        quiet = head.project(z)
+    recorded = head.project(z)
+    assert quiet.data.tobytes() == recorded.data.tobytes()
+    assert quiet._parents == () and not quiet.requires_grad and recorded._parents
+
+
 def test_cluster_logits_temperature():
     # Projected vectors are unit-norm, so |logits| <= 1/tau.
     head = ClusterHead(np.random.default_rng(11), width=8, num_prototypes=16, tau=0.05)
@@ -158,7 +191,11 @@ def test_pseudo_labels_stop_gradient():
     # is structurally zero.
     head = ClusterHead(np.random.default_rng(15), width=6, num_prototypes=4)
     z_ref = np.random.default_rng(16).standard_normal((10, 6)).astype(np.float32)
+    projected = []
+    real = head.project
+    head.project = lambda z: projected.append(real(z)) or projected[-1]
     labels = pseudo_labels(z_ref, head, np.array([0, 3, 3, 9]))
+    assert projected[0]._parents == () and not projected[0].requires_grad    # no tape
     assert isinstance(labels, np.ndarray)
     assert labels.shape == (4, 4)
     assert np.allclose(labels.sum(axis=1), 1.0, atol=1e-6)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from patchpos import segmenter
-from patchpos.autodiff import Tensor, conv_transpose2d, cross_entropy_from_logits, gather_rows
+from patchpos.autodiff import (Tensor, conv_transpose2d, cross_entropy_from_logits, gather_rows,
+                               no_grad)
 from patchpos.checkpoint import CheckpointError
 from patchpos.config import ConfigFileError, FinetuneConfig, PretrainConfig
 from patchpos.data import ALL_BANDS, DatasetReader, generate_synthetic_segmentation, read_labels
@@ -58,6 +59,27 @@ def test_segmentation_model_forward_shape():
         model.forward(np.zeros((1, 2, 30, 30), dtype=np.float32))
 
 
+def test_forward_under_no_grad_is_bit_identical_and_records_no_tape(monkeypatch):
+    cfg = PretrainConfig(depth=1, width=16, heads=2, group_setting="all")
+    model = SegmentationModel(cfg, ["B2", "B3"], classes=3)
+    x = np.random.default_rng(3).standard_normal((2, 2, 32, 32)).astype(np.float32)
+    made = []
+    init = Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    with no_grad():
+        quiet = model.forward(x)
+    assert len(made) > 20
+    assert all(t._parents == () and t._backward is None for t in made)
+    recorded = model.forward(x)
+    assert quiet.data.tobytes() == recorded.data.tobytes()
+    assert not quiet.requires_grad and len(tape_ops(recorded)) > 3
+
+
 def test_pixel_cross_entropy_ignores_label():
     logits = Tensor(np.zeros((1, 2, 2, 2), dtype=np.float32))
     labels = np.array([[[0, 1], [-1, -1]]])
@@ -84,8 +106,8 @@ def test_pixel_cross_entropy_without_ignored_pixels_skips_gather():
     labels = rng.integers(0, 3, size=(2, 4, 5))
     logits = Tensor(x, requires_grad=True)
     loss = pixel_cross_entropy(logits, labels)
+    assert tape_ops(loss) == {"leaf", "cross_entropy", "sum", "mul"}    # before backward frees it
     loss.backward()
-    assert "gather_rows" not in tape_ops(loss)
     # bit for bit the gather path, which selects every row
     ref_logits = Tensor(x, requires_grad=True)
     flat = ref_logits.transpose((0, 2, 3, 1)).reshape(-1, 3)

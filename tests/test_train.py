@@ -133,6 +133,37 @@ def test_each_checkpoint_is_written_once(dataset, tmp_path, monkeypatch):
     assert steps == [3] and load_checkpoint(res["checkpoint"])[1]["step"] == 3
 
 
+def test_a_step_does_not_hold_the_previous_steps_tape(dataset, tmp_path, monkeypatch):
+    # Peak traced memory from each forward to the end of its optimizer step.
+    # While step t+1 builds its tape, step t's is freed (backward releases it),
+    # so later steps peak within 30% of the first; the steps grow only by the
+    # gradients and AdamW moments. Holding the previous tape alive, as the loop
+    # did before backward released it, peaked at 1.59x and 1.64x here; release
+    # reads 1.11x and 1.16x.
+    import tracemalloc
+    peaks = []
+    forward, step = PretrainModel.forward_step, AdamW.step
+
+    def forward_from_a_fresh_peak(self, *args):
+        tracemalloc.reset_peak()
+        return forward(self, *args)
+
+    def step_then_read_peak(self, *args, **kwargs):
+        step(self, *args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(PretrainModel, "forward_step", forward_from_a_fresh_peak)
+    monkeypatch.setattr(AdamW, "step", step_then_read_peak)
+    tracemalloc.start()
+    try:
+        pretrain(small_cfg(dataset, queries_per_ref=4), tmp_path / "run", max_steps=3,
+                 log_stream=open(os.devnull, "w"))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3
+    assert max(peaks[1:]) <= 1.3 * peaks[0], [p / peaks[0] for p in peaks]
+
+
 def test_nonfinite_loss_aborts(dataset, tmp_path, monkeypatch):
     cfg = small_cfg(dataset)
 
