@@ -9,7 +9,7 @@ from .autodiff import Tensor, finite_difference_check
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import FinetuneConfig, PretrainConfig
 from .data import DatasetReader, generate_synthetic_dataset, write_dataset
-from .encoder import Encoder, EncoderConfig
+from .encoder import Encoder
 from .groups import GROUP_PRESETS, GroupedTokens, build_group_setting, sample_groups
 from .model import PretrainModel
 from .objectives import position_loss, sinkhorn_knopp
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor", "finite_difference_check", "load_checkpoint", "save_checkpoint",
     "FinetuneConfig", "PretrainConfig", "DatasetReader",
-    "generate_synthetic_dataset", "write_dataset", "Encoder", "EncoderConfig",
+    "generate_synthetic_dataset", "write_dataset", "Encoder",
     "GROUP_PRESETS", "GroupedTokens", "build_group_setting", "sample_groups",
     "PretrainModel", "position_loss", "sinkhorn_knopp", "SegmentationModel",
     "finetune", "iou_miou", "pretrain", "Correspondence", "RasterImage", "ViewSpec",

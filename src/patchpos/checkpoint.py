@@ -53,14 +53,13 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
             os.remove(tmp)
 
 
-def _read_exact(f, n: int, size: int, path, what: str) -> bytes:
-    """``n`` bytes of ``what`` from ``f``, or CheckpointError naming the file.
-    ``size`` is the file's length, checked first so a corrupt length field
-    never asks for a huge read."""
-    at = f.tell()
+def read_exact(f, n: int, error: type[Exception], what: str) -> bytes:
+    """``n`` bytes from the file ``f``, or ``error`` that starts with ``what``
+    and gives the offset and the file's length. The length is checked before
+    reading, so a corrupt length field never asks for a huge read."""
+    at, size = f.tell(), os.fstat(f.fileno()).st_size
     if n > size - at:
-        raise CheckpointError(f"'{path}' truncated in {what} "
-                              f"(needs {n} bytes at offset {at}, the file has {size})")
+        raise error(f"{what} (needs {n} bytes at offset {at}, the file has {size})")
     return f.read(n)
 
 
@@ -69,9 +68,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         with open(path, "rb") as f:
             if f.read(8) != MAGIC:
                 raise CheckpointError(f"'{path}' is not a checkpoint file")
-            size = os.fstat(f.fileno()).st_size
-            (n,) = struct.unpack("<Q", _read_exact(f, 8, size, path, "the manifest length"))
-            raw = _read_exact(f, n, size, path, "the manifest")
+            cut = f"'{path}' truncated in"
+            (n,) = struct.unpack("<Q", read_exact(f, 8, CheckpointError,
+                                                  f"{cut} the manifest length"))
+            raw = read_exact(f, n, CheckpointError, f"{cut} the manifest")
             try:
                 manifest = json.loads(raw.decode("utf-8"))
             except ValueError as e:     # bad UTF-8 or bad JSON
@@ -80,7 +80,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             arrays = {}
             for name, shape, dtype in entries:
                 count = int(np.prod(shape)) if shape else 1
-                buf = _read_exact(f, count * dtype.itemsize, size, path, f"array '{name}'")
+                buf = read_exact(f, count * dtype.itemsize, CheckpointError,
+                                 f"{cut} array '{name}'")
                 arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint '{path}': {e}") from e

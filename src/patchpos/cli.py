@@ -3,6 +3,7 @@ inspect-correspondence."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -30,6 +31,11 @@ def _parse_channels(spec: str) -> list[str]:
     return [c.strip() for c in spec.split(",") if c.strip()]
 
 
+def _override(cfg, **flags):
+    """``cfg`` with the command-line flags that were given, checked like the file."""
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+
+
 def cmd_gen_data(args):
     tags = _parse_channels(args.channels)
     if args.labels:
@@ -44,19 +50,13 @@ def cmd_gen_data(args):
 
 
 def cmd_pretrain(args):
-    cfg = PretrainConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _override(PretrainConfig.from_file(args.config), seed=args.seed)
     result = pretrain(cfg, args.out, resume=args.resume)
     print(f"done: {result['steps']} steps, checkpoint at {result['checkpoint']}")
 
 
 def cmd_finetune(args):
-    cfg = FinetuneConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.runs is not None:
-        cfg.runs = args.runs
+    cfg = _override(FinetuneConfig.from_file(args.config), seed=args.seed, runs=args.runs)
     results, mean_miou = finetune_runs(cfg, log_stream=sys.stdout)
     os.makedirs(args.out, exist_ok=True)
     for r, res in enumerate(results):

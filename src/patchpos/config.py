@@ -1,11 +1,14 @@
-"""Flat key=value run configuration."""
+"""Flat key=value run configuration. Every key declares its domain beside its
+default, and constructing a config checks each key, then the cross-key rules."""
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable
 
 
 class ConfigFileError(ValueError):
@@ -27,102 +30,148 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
+@dataclass(frozen=True)
+class Domain:
+    """The values of ``type`` that pass ``test``, described by ``text``. An int
+    domain takes any integer but a bool, a float domain any real number but
+    a bool."""
+    type: type
+    text: str
+    test: Callable[[Any], bool] = lambda v: True
+
+    def accepts(self, value) -> bool:
+        kind = {int: numbers.Integral, float: numbers.Real}.get(self.type, self.type)
+        return (isinstance(value, kind) and isinstance(value, bool) == (self.type is bool)
+                and self.test(value))
+
+    def parse(self, name: str, text: str):
+        """The value of type ``type`` that a config file's ``text`` gives key ``name``."""
+        try:
+            return _BOOL[text.lower()] if self.type is bool else self.type(text)
+        except (KeyError, ValueError) as e:
+            raise ConfigFileError(f"config key '{name}': cannot parse '{text}' "
+                                  f"as {self.type.__name__}") from e
+
+
 _BOOL = {"true": True, "1": True, "yes": True, "on": True,
          "false": False, "0": False, "no": False, "off": False}
 
 
-def _coerce(name, value: str, typ):
-    try:
-        if typ is bool:
-            return _BOOL[value.lower()]
-        return typ(value)
-    except (KeyError, ValueError) as e:
-        raise ConfigFileError(f"config key '{name}': cannot parse '{value}' as {typ.__name__}") from e
+POSITIVE_INT = Domain(int, "an integer >= 1", lambda v: v >= 1)
+NON_NEGATIVE_INT = Domain(int, "an integer >= 0", lambda v: v >= 0)
+INT = Domain(int, "an integer")
+POSITIVE = Domain(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+NON_NEGATIVE = Domain(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
+FRACTION = Domain(float, "a number in [0, 1]", lambda v: 0 <= v <= 1)
+PROPER_FRACTION = Domain(float, "a number in [0, 1)", lambda v: 0 <= v < 1)
+SCALE = Domain(float, "a number in (0, 1]", lambda v: 0 < v <= 1)
+BOOL = Domain(bool, "true or false")
+TEXT = Domain(str, "a string")
 
 
-def _require_positive(cfg, *names):
-    """Raise ConfigFileError naming the first key that is not a positive finite number."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not (value > 0 and math.isfinite(value)):
-            raise ConfigFileError(f"config key '{name}' must be positive and finite, got {value}")
+def key(default, domain: Domain):
+    """A config key: its default and the domain of the values it accepts."""
+    return field(default=default, metadata={"domain": domain})
 
 
-def from_mapping(cls, mapping: dict[str, str]):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(mapping) - set(fields)
-    if unknown:
-        raise ConfigFileError(f"unknown config keys: {sorted(unknown)}")
-    # field types are strings here (postponed annotations): coerce by the default's type
-    kwargs = {k: _coerce(k, v, type(fields[k].default)) for k, v in mapping.items()}
-    return cls(**kwargs)
+def encoding_widths(width: int) -> tuple[int, int]:
+    """The group and position parts of a token ``width`` wide: the group part
+    is a quarter of the width rounded down to an even count, the position
+    part the rest."""
+    d_ge = width // 4 - width // 4 % 2
+    return d_ge, width - d_ge
+
+
+class _Config:
+    """The domain check, cross-key rules and file form of a run config."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value, domain = getattr(self, f.name), f.metadata["domain"]
+            if not domain.accepts(value):
+                raise ConfigFileError(f"config key '{f.name}': {value!r} is not {domain.text}")
+        for keys, holds, rule in self.rules():
+            if not holds:
+                named = " and ".join(f"'{k}' ({getattr(self, k)!r})" for k in keys)
+                raise ConfigFileError(f"config key{'s' * (len(keys) > 1)} {named}: {rule}")
+
+    def rules(self) -> Iterable[tuple[tuple[str, ...], bool, str]]:
+        """Cross-key rules, checked once every key is in its domain: the keys
+        each rule reads, whether it holds, and what it asks."""
+        return ()
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_file(cls, path):
+        mapping, fields = parse_kv_file(path), {f.name: f for f in dataclasses.fields(cls)}
+        unknown = set(mapping) - set(fields)
+        if unknown:
+            raise ConfigFileError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**{k: fields[k].metadata["domain"].parse(k, v) for k, v in mapping.items()})
 
 
 @dataclass
-class PretrainConfig:
+class PretrainConfig(_Config):
     """Everything a pretraining run needs; all keys reachable from a config file."""
-    dataset: str = ""
-    seed: int = 0
-    epochs: int = 2
-    batch_size: int = 8
-    queries_per_ref: int = 10
+    dataset: str = key("", TEXT)
+    seed: int = key(0, NON_NEGATIVE_INT)
+    epochs: int = key(2, POSITIVE_INT)
+    batch_size: int = key(8, POSITIVE_INT)
+    queries_per_ref: int = key(10, POSITIVE_INT)
     # geometry
-    h_ref: int = 64
-    h_q: int = 32
-    patch_size: int = 8
-    ref_scale_min: float = 0.3
-    ref_scale_max: float = 1.0
-    q_scale_min: float = 0.05
-    q_scale_max: float = 0.3
-    flip_prob: float = 0.5
+    h_ref: int = key(64, POSITIVE_INT)
+    h_q: int = key(32, POSITIVE_INT)
+    patch_size: int = key(8, POSITIVE_INT)
+    ref_scale_min: float = key(0.3, SCALE)
+    ref_scale_max: float = key(1.0, SCALE)
+    q_scale_min: float = key(0.05, SCALE)
+    q_scale_max: float = key(0.3, SCALE)
+    flip_prob: float = key(0.5, FRACTION)
     # channel grouping
-    group_setting: str = "all"
-    group_sampling: bool = True
+    group_setting: str = key("all", TEXT)
+    group_sampling: bool = key(True, BOOL)
     # attention / reference masking
-    same_group_masking: bool = False
-    eta: float = 0.8
+    same_group_masking: bool = key(False, BOOL)
+    eta: float = key(0.8, FRACTION)
     # cluster objective
-    cluster_loss: bool = True
-    num_prototypes: int = 256
-    proto_dim: int = 0          # 0 -> encoder width
-    lambda_me: float = 1.0
-    tau: float = 0.05
-    sinkhorn_iters: int = 3
+    cluster_loss: bool = key(True, BOOL)
+    num_prototypes: int = key(256, POSITIVE_INT)
+    proto_dim: int = key(0, NON_NEGATIVE_INT)          # 0 -> encoder width
+    lambda_me: float = key(1.0, NON_NEGATIVE)
+    tau: float = key(0.05, POSITIVE)
+    sinkhorn_iters: int = key(3, NON_NEGATIVE_INT)
     # encoder
-    depth: int = 4
-    width: int = 64
-    heads: int = 4
-    mlp_ratio: int = 4
+    depth: int = key(4, POSITIVE_INT)
+    width: int = key(64, POSITIVE_INT)
+    heads: int = key(4, POSITIVE_INT)
+    mlp_ratio: int = key(4, POSITIVE_INT)
     # optimizer (paper recipe scalars; warmup/betas/clip/dropout are ours)
-    lr: float = 6.25e-5
-    weight_decay: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    warmup_frac: float = 0.05
-    grad_clip: float = 0.0
-    dropout: float = 0.0
+    lr: float = key(6.25e-5, POSITIVE)
+    weight_decay: float = key(0.1, NON_NEGATIVE)
+    beta1: float = key(0.9, PROPER_FRACTION)
+    beta2: float = key(0.999, PROPER_FRACTION)
+    warmup_frac: float = key(0.05, FRACTION)
+    grad_clip: float = key(0.0, NON_NEGATIVE)           # 0 -> no clipping
+    dropout: float = key(0.0, PROPER_FRACTION)
     # harness
-    log_every: int = 1
-    checkpoint_every_epochs: int = 1
-    noise_reference: bool = False   # debug: replace reference pixels with noise
+    log_every: int = key(1, POSITIVE_INT)
+    checkpoint_every_epochs: int = key(1, POSITIVE_INT)
+    noise_reference: bool = key(False, BOOL)   # debug: replace reference pixels with noise
 
-    def __post_init__(self):
-        _require_positive(self, "batch_size", "h_ref", "h_q", "patch_size", "num_prototypes",
-                          "tau", "lr", "log_every", "checkpoint_every_epochs", "width", "heads",
-                          "mlp_ratio")
-        if self.h_ref % self.patch_size or self.h_q % self.patch_size:
-            raise ConfigFileError("view sizes must be divisible by patch_size")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigFileError(f"eta must be in [0,1], got {self.eta}")
-        if self.width % self.heads:
-            raise ConfigFileError(f"config keys 'width' ({self.width}) and 'heads' "
-                                  f"({self.heads}): width must be divisible by heads")
-        if self.queries_per_ref < 1:
-            raise ConfigFileError("queries_per_ref must be >= 1")
-        for lo, hi, name in [(self.ref_scale_min, self.ref_scale_max, "ref_scale"),
-                             (self.q_scale_min, self.q_scale_max, "q_scale")]:
-            if not 0 < lo <= hi <= 1.0:
-                raise ConfigFileError(f"{name} range [{lo}, {hi}] invalid")
+    def rules(self):
+        for a, b in [("h_ref", "patch_size"), ("h_q", "patch_size"), ("width", "heads")]:
+            yield (a, b), getattr(self, a) % getattr(self, b) == 0, f"{a} must be divisible by {b}"
+        d_pe = encoding_widths(self.width)[1]
+        yield (("width",), d_pe % 4 == 0,
+               f"its position part ({d_pe}, see encoding_widths) must be divisible by 4")
+        for lo, hi in [("ref_scale_min", "ref_scale_max"), ("q_scale_min", "q_scale_max")]:
+            yield (lo, hi), getattr(self, lo) <= getattr(self, hi), f"{lo} must be <= {hi}"
+
+    def hash(self) -> str:
+        canon = json.dumps(self.to_dict(), sort_keys=True)
+        return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     @property
     def n_ref(self):
@@ -132,43 +181,22 @@ class PretrainConfig:
     def n_q(self):
         return (self.h_q // self.patch_size) ** 2
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-    @classmethod
-    def from_file(cls, path) -> "PretrainConfig":
-        return from_mapping(cls, parse_kv_file(path))
-
 
 @dataclass
-class FinetuneConfig:
+class FinetuneConfig(_Config):
     """End-to-end segmentation finetuning on a labeled dataset."""
-    dataset: str = ""
-    labels: str = ""
-    checkpoint: str = ""        # pretrained weights; empty -> random init
-    classes: int = 2
-    ignore_label: int = -1
-    seed: int = 0
-    steps: int = 300
-    batch_size: int = 8
-    lr: float = 1e-4
-    weight_decay: float = 0.05
-    warmup_frac: float = 0.05
-    val_fraction: float = 0.25
-    eval_every: int = 25
-    runs: int = 1
-    same_group_masking: bool = False
-
-    def __post_init__(self):
-        _require_positive(self, "classes", "batch_size", "lr", "eval_every")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_file(cls, path) -> "FinetuneConfig":
-        return from_mapping(cls, parse_kv_file(path))
+    dataset: str = key("", TEXT)
+    labels: str = key("", TEXT)
+    checkpoint: str = key("", TEXT)        # pretrained weights; empty -> random init
+    classes: int = key(2, POSITIVE_INT)
+    ignore_label: int = key(-1, INT)
+    seed: int = key(0, NON_NEGATIVE_INT)
+    steps: int = key(300, POSITIVE_INT)
+    batch_size: int = key(8, POSITIVE_INT)
+    lr: float = key(1e-4, POSITIVE)
+    weight_decay: float = key(0.05, NON_NEGATIVE)
+    warmup_frac: float = key(0.05, FRACTION)
+    val_fraction: float = key(0.25, PROPER_FRACTION)
+    eval_every: int = key(25, POSITIVE_INT)
+    runs: int = key(1, POSITIVE_INT)
+    same_group_masking: bool = key(False, BOOL)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import read_exact
 from .views import RasterImage
 
 RASTER_MAGIC = b"MMRAST1\0"
@@ -71,27 +72,19 @@ def write_dataset(path, samples: np.ndarray, channel_tags: list[str]):
         f.write(samples.tobytes())
 
 
-def _read_exact(f, n: int) -> bytes:
-    """Exactly ``n`` header bytes from ``f``, or FormatError naming the file."""
-    raw = f.read(n)
-    if len(raw) != n:
-        raise FormatError(f"{getattr(f, 'name', f)}: truncated header "
-                          f"(needed {n} bytes at offset {f.tell() - len(raw)}, got {len(raw)})")
-    return raw
-
-
 def read_header(f) -> DatasetHeader:
     magic = f.read(8)
     if magic != RASTER_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {RASTER_MAGIC!r}")
-    version, count, C, H, W = struct.unpack("<IIIII", _read_exact(f, 20))
+    cut = f"{f.name}: truncated header"
+    version, count, C, H, W = struct.unpack("<IIIII", read_exact(f, 20, FormatError, cut))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
     tags = []
     for _ in range(C):
-        (n,) = struct.unpack("<H", _read_exact(f, 2))
-        tags.append(_read_exact(f, n).decode("utf-8"))
-    stats = np.frombuffer(_read_exact(f, 16 * C), dtype="<f8").reshape(C, 2)
+        (n,) = struct.unpack("<H", read_exact(f, 2, FormatError, cut))
+        tags.append(read_exact(f, n, FormatError, cut).decode("utf-8"))
+    stats = np.frombuffer(read_exact(f, 16 * C, FormatError, cut), dtype="<f8").reshape(C, 2)
     return DatasetHeader(count, C, H, W, tags, stats[:, 0].copy(), stats[:, 1].copy())
 
 
@@ -234,7 +227,8 @@ def read_labels(path) -> np.ndarray:
         magic = f.read(8)
         if magic != LABEL_MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {LABEL_MAGIC!r}")
-        version, count, H, W = struct.unpack("<IIII", _read_exact(f, 16))
+        version, count, H, W = struct.unpack(
+            "<IIII", read_exact(f, 16, FormatError, f"{path}: truncated header"))
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported format version {version}")
         payload = np.frombuffer(f.read(), dtype=np.int8)

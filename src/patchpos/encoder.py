@@ -3,7 +3,6 @@ models share, and the single query-to-reference cross-attention block."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,18 +14,6 @@ from .nn import LayerNorm, Linear, Mlp
 log = logging.getLogger(__name__)
 
 _NEG_INF = -1e30
-
-
-@dataclass
-class EncoderConfig:
-    depth: int = 4
-    width: int = 64
-    heads: int = 4
-    mlp_ratio: int = 4
-
-    def __post_init__(self):
-        if self.width % self.heads:
-            raise ValueError(f"width {self.width} not divisible by {self.heads} heads")
 
 
 def attention_mask_bias(query_groups: np.ndarray, key_groups: np.ndarray) -> np.ndarray:
@@ -67,11 +54,11 @@ class MultiHeadAttention:
 class Block:
     """Pre-norm transformer block: ln -> attention -> residual, ln -> mlp -> residual."""
 
-    def __init__(self, rng, cfg: EncoderConfig, dtype=np.float32):
-        self.ln1 = LayerNorm(cfg.width, dtype=dtype)
-        self.attn = MultiHeadAttention(rng, cfg.width, cfg.heads, dtype=dtype)
-        self.ln2 = LayerNorm(cfg.width, dtype=dtype)
-        self.mlp = Mlp(rng, cfg.width, cfg.width * cfg.mlp_ratio, dtype=dtype)
+    def __init__(self, rng, width: int, heads: int, mlp_ratio: int, dtype=np.float32):
+        self.ln1 = LayerNorm(width, dtype=dtype)
+        self.attn = MultiHeadAttention(rng, width, heads, dtype=dtype)
+        self.ln2 = LayerNorm(width, dtype=dtype)
+        self.mlp = Mlp(rng, width, width * mlp_ratio, dtype=dtype)
 
     def params(self, prefix):
         return {**self.ln1.params(f"{prefix}.ln1"), **self.attn.params(f"{prefix}.attn"),
@@ -86,10 +73,10 @@ class Block:
 class Encoder:
     """Stack of self-attention blocks with a final layernorm."""
 
-    def __init__(self, rng, cfg: EncoderConfig, dtype=np.float32):
-        self.cfg = cfg
-        self.blocks = [Block(rng, cfg, dtype=dtype) for _ in range(cfg.depth)]
-        self.final_ln = LayerNorm(cfg.width, dtype=dtype)
+    def __init__(self, rng, depth: int, width: int, heads: int, mlp_ratio: int,
+                 dtype=np.float32):
+        self.blocks = [Block(rng, width, heads, mlp_ratio, dtype=dtype) for _ in range(depth)]
+        self.final_ln = LayerNorm(width, dtype=dtype)
 
     def params(self, prefix):
         out = {}
@@ -116,10 +103,9 @@ class Backbone:
 
     def __init__(self, rng, cfg: PretrainConfig, channel_tags: list[str], dtype=np.float32):
         self.setting = build_group_setting(cfg.group_setting, channel_tags)
-        self.enc_cfg = EncoderConfig(cfg.depth, cfg.width, cfg.heads, cfg.mlp_ratio)
         self.embedder = GroupEmbedder(rng, self.setting, cfg.patch_size, cfg.width, dtype=dtype)
         self.encoding = GroupPositionEncoding(rng, self.setting.num_groups, cfg.width, dtype=dtype)
-        self.encoder = Encoder(rng, self.enc_cfg, dtype=dtype)
+        self.encoder = Encoder(rng, cfg.depth, cfg.width, cfg.heads, cfg.mlp_ratio, dtype=dtype)
 
     def params(self) -> dict[str, Tensor]:
         return {**self.embedder.params("embed"), **self.encoding.params("encpos"),
@@ -138,12 +124,12 @@ class CrossAttentionBlock:
     """Single block whose queries come from the query representations and
     keys/values from the visible reference rows."""
 
-    def __init__(self, rng, cfg: EncoderConfig, dtype=np.float32):
-        self.ln_q = LayerNorm(cfg.width, dtype=dtype)
-        self.ln_kv = LayerNorm(cfg.width, dtype=dtype)
-        self.attn = MultiHeadAttention(rng, cfg.width, cfg.heads, dtype=dtype)
-        self.ln2 = LayerNorm(cfg.width, dtype=dtype)
-        self.mlp = Mlp(rng, cfg.width, cfg.width * cfg.mlp_ratio, dtype=dtype)
+    def __init__(self, rng, width: int, heads: int, mlp_ratio: int, dtype=np.float32):
+        self.ln_q = LayerNorm(width, dtype=dtype)
+        self.ln_kv = LayerNorm(width, dtype=dtype)
+        self.attn = MultiHeadAttention(rng, width, heads, dtype=dtype)
+        self.ln2 = LayerNorm(width, dtype=dtype)
+        self.mlp = Mlp(rng, width, width * mlp_ratio, dtype=dtype)
 
     def params(self, prefix):
         return {**self.ln_q.params(f"{prefix}.ln_q"), **self.ln_kv.params(f"{prefix}.ln_kv"),

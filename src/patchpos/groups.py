@@ -6,11 +6,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, concat, gather_rows, gather_seq
+from .config import ConfigFileError, encoding_widths
 from .nn import Linear
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # Band codes per channel group preset. A band may appear in several groups.
@@ -42,8 +39,6 @@ class GroupSetting:
     channels: list[int] = field(init=False)
 
     def __post_init__(self):
-        if len(self.groups) < 1:
-            raise ConfigError("a group setting needs at least one group")
         self.channels = sorted({c for g in self.groups for c in g})
 
     @property
@@ -57,7 +52,9 @@ def _normalize(name: str) -> str:
 
 def build_group_setting(spec: str, channel_tags: list[str]) -> GroupSetting:
     """Resolve a preset name, ``all`` (single group), or an explicit
-    ``B2,B3|B11,B12`` band-code listing against the dataset's channel tags."""
+    ``B2,B3|B11,B12`` band-code listing against the dataset's channel tags.
+    An unknown preset, an empty group or a band the dataset lacks raises
+    ConfigFileError naming the ``group_setting`` key."""
     tag_index: dict[str, int] = {}
     for i, t in enumerate(channel_tags):
         tag_index.setdefault(t, i)
@@ -69,18 +66,16 @@ def build_group_setting(spec: str, channel_tags: list[str]) -> GroupSetting:
     elif "," in spec or "|" in spec:
         bands = [[b.strip() for b in grp.split(",") if b.strip()] for grp in spec.split("|")]
     else:
-        raise ConfigError(f"unknown group setting '{spec}'; "
-                          f"presets: {sorted(GROUP_PRESETS)} or explicit 'B2,B3|B11,B12'")
-    groups = []
-    for grp in bands:
-        idx = []
+        raise ConfigFileError(f"config key 'group_setting': unknown setting '{spec}'; presets: "
+                              f"{sorted(GROUP_PRESETS)}, 'all' or explicit 'B2,B3|B11,B12'")
+    for g, grp in enumerate(bands):
+        if not grp:
+            raise ConfigFileError(f"config key 'group_setting': group {g} of '{spec}' is empty")
         for code in grp:
             if code not in tag_index:
-                raise ConfigError(f"band '{code}' of group setting '{spec}' not in dataset "
-                                  f"channels {channel_tags}")
-            idx.append(tag_index[code])
-        groups.append(idx)
-    return GroupSetting(norm, groups)
+                raise ConfigFileError(f"config key 'group_setting': band '{code}' of '{spec}' "
+                                      f"not in dataset channels {channel_tags}")
+    return GroupSetting(norm, [[tag_index[code] for code in grp] for grp in bands])
 
 
 @dataclass
@@ -168,7 +163,7 @@ class GroupEmbedder:
 def sincos_position_encoding(grid_h: int, grid_w: int, dim: int, dtype=np.float32) -> np.ndarray:
     """Fixed 2-d sine-cosine encoding over a patch grid, row-major positions."""
     if dim % 4:
-        raise ConfigError(f"positional encoding width {dim} must be divisible by 4")
+        raise ValueError(f"positional encoding width {dim} must be divisible by 4")
     half = dim // 2
 
     def encode_1d(pos):
@@ -183,20 +178,14 @@ def sincos_position_encoding(grid_h: int, grid_w: int, dim: int, dtype=np.float3
 
 class GroupPositionEncoding:
     """Learned per-group vector concatenated with a fixed sinusoidal position
-    vector; the concatenation is added to each token. The group vector takes
-    a quarter of the width, rounded down to an even count."""
+    vector; the concatenation is added to each token. ``encoding_widths``
+    splits the width between them."""
 
     def __init__(self, rng: np.random.Generator, num_groups: int, width: int,
                  dtype=np.float32):
-        d_ge = width // 4
-        d_ge -= d_ge % 2
-        d_pe = width - d_ge
-        if d_pe % 4:
-            raise ConfigError(f"width {width} cannot be split into even group/position parts")
-        self.d_ge = d_ge
-        self.d_pe = d_pe
-        self.group_table = Tensor((rng.standard_normal((num_groups, d_ge)) * 0.02).astype(dtype),
-                                  requires_grad=True)
+        self.d_ge, self.d_pe = encoding_widths(width)
+        table = rng.standard_normal((num_groups, self.d_ge)) * 0.02
+        self.group_table = Tensor(table.astype(dtype), requires_grad=True)
         self.dtype = dtype
         self._pe_cache: dict[tuple[int, int], np.ndarray] = {}
 

@@ -25,7 +25,7 @@ class PretrainModel:
         self.backbone = Backbone(rng, cfg, channel_tags, dtype=dtype)
         # the bands the groups read, in the order the embedder expects them
         self.input_tags = [self.channel_tags[c] for c in self.backbone.setting.channels]
-        self.cross = CrossAttentionBlock(rng, self.backbone.enc_cfg, dtype=dtype)
+        self.cross = CrossAttentionBlock(rng, cfg.width, cfg.heads, cfg.mlp_ratio, dtype=dtype)
         self.pos_head = PositionHead(rng, cfg.width, cfg.n_ref, dtype=dtype)
         self.cluster: ClusterHead | None = None
         if cfg.cluster_loss:

@@ -105,7 +105,7 @@ def sinkhorn_knopp(scores: np.ndarray, iterations: int = 3, tau: float = 1.0) ->
     b, k = s.shape
     p = np.exp(s / tau - (s / tau).max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
-    for _ in range(max(iterations, 0)):
+    for _ in range(iterations):
         p /= p.sum(axis=0, keepdims=True) * (k / b)
         p /= p.sum(axis=1, keepdims=True)
     return p

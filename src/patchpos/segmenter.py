@@ -223,7 +223,8 @@ def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
     n_val = int(round(cfg.val_fraction * n))
     val_ids, train_ids = order[:n_val], order[n_val:]
     if train_ids.size == 0:
-        raise ValueError("no training samples left after the validation split")
+        raise ConfigFileError(f"config key 'val_fraction': {cfg.val_fraction} leaves none of "
+                              f"the {n} samples for training")
     if cfg.batch_size > train_ids.size:
         raise ConfigFileError(f"config key 'batch_size': {cfg.batch_size} is larger than the "
                               f"{train_ids.size} training samples")
@@ -261,10 +262,9 @@ def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
     return FinetuneResult(miou, per_class, train_miou, steps_to_threshold, model)
 
 
-def finetune_runs(cfg: FinetuneConfig, runs: int | None = None, log_stream=None):
-    """Repeat finetuning with shifted seeds; returns results and mean mIoU."""
-    runs = cfg.runs if runs is None else runs
-    results = [finetune(cfg, seed=cfg.seed + r, log_stream=log_stream) for r in range(runs)]
+def finetune_runs(cfg: FinetuneConfig, log_stream=None):
+    """``cfg.runs`` finetuning runs with shifted seeds; returns results and mean mIoU."""
+    results = [finetune(cfg, seed=cfg.seed + r, log_stream=log_stream) for r in range(cfg.runs)]
     mious = [r.miou for r in results if r.miou is not None]
     return results, (float(np.mean(mious)) if mious else None)
 

@@ -101,9 +101,8 @@ def test_criterion_2_gradient_suite():
         lambda tx, tk: (ad.conv_transpose2d(tx, tk, stride=2) ** 2).sum(), tx, tk)
 
     # attention block (softmax @ v through multi-head projections)
-    from patchpos.encoder import Block, EncoderConfig
-    blk = Block(np.random.default_rng(2), EncoderConfig(depth=1, width=8, heads=2),
-                dtype=np.float64)
+    from patchpos.encoder import Block
+    blk = Block(np.random.default_rng(2), width=8, heads=2, mlp_ratio=4, dtype=np.float64)
     bx = t(3, 8)
     bias = attention_mask_bias(np.array([0, 0, 1]), np.array([0, 0, 1]))
     blk_params = [bx] + list(blk.params("b").values())

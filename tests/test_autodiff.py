@@ -243,7 +243,7 @@ def conv_loops(x, k, g, stride, pad):
     return out, gxp[:, :, pad:pad + H, pad:pad + W], gk
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(kh=st.integers(1, 3), kw=st.integers(1, 3), stride=st.integers(1, 2),
        pad=st.integers(0, 1), b=st.integers(1, 2), cin=st.integers(1, 3),
        cout=st.integers(1, 3), h=st.integers(1, 7), w=st.integers(1, 7),
@@ -296,7 +296,7 @@ def paint_blocks(x, k):
     return out
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(s=st.sampled_from([1, 2, 4]), b=st.integers(1, 2), cin=st.integers(1, 4),
        cout=st.integers(1, 3), h=st.integers(1, 4), w=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -512,7 +512,7 @@ def test_cross_entropy_matches_composite_on_nchw():
     assert got.strides == want.strides == (2 * 64 * 64 * 4, 4, 64 * 2 * 4, 2 * 4)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(dtype=st.sampled_from([np.float64, np.float32]), k=st.integers(1, 7),
        lead=st.lists(st.integers(1, 5), min_size=1, max_size=3), data=st.data(),
        weighted=st.booleans(), reduce=st.sampled_from(["sum", "mean"]),
@@ -582,7 +582,7 @@ def assert_rel_close(got, want, bound):
         assert float(np.abs(g - w).max(initial=0.0)) / scale <= bound
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(dtype=st.sampled_from([np.float64, np.float32]), lead=st.integers(1, 3),
        nq=st.integers(1, 6), nk=st.integers(1, 6), heads=st.integers(1, 3),
        dh=st.integers(1, 4), dvh=st.integers(1, 3), shared_kv=st.booleans(),

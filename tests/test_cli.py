@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from patchpos.cli import main
+from patchpos.config import ConfigFileError
 from patchpos.data import DatasetReader, read_labels
 from patchpos.segmenter import iou_miou, load_finetuned, read_images
 
@@ -68,3 +69,13 @@ def test_pretrain_finetune_eval_pipeline(tmp_path, capsys):
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("pretrain", "--seed", "-1"), ("finetune", "--seed", "-1"), ("finetune", "--runs", "0")])
+def test_flag_overrides_are_validated(tmp_path, command, flag, value):
+    # a flag is checked like the config file's keys, before any data is read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset = {tmp_path / 'missing.mmr'}\n")
+    with pytest.raises(ConfigFileError, match=f"config key '{flag[2:]}': {value} "):
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), flag, value])

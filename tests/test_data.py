@@ -5,6 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from patchpos.data import (ALL_BANDS, DatasetReader, FormatError,
                            generate_synthetic_dataset,
@@ -22,6 +25,27 @@ def test_write_read_roundtrip(tmp_path):
     assert r.channel_tags == ["B2", "B3", "B4"]
     raw = r.sample(2, standardize=False)
     assert np.array_equal(raw.data, samples[2])
+
+
+# (count, C, H, W) float32 samples of any finite values, an empty dataset too
+rasters = st.tuples(st.integers(0, 3), st.integers(1, 4), st.integers(1, 5),
+                    st.integers(1, 5)).flatmap(lambda shape: arrays(
+                        np.float32, shape,
+                        elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+
+
+@settings(max_examples=40)
+@given(samples=rasters, data=st.data())
+def test_written_values_read_back(tmp_path_factory, samples, data):
+    path = tmp_path_factory.mktemp("raster") / "d.mmr"
+    tags = ALL_BANDS[:samples.shape[1]]
+    write_dataset(path, samples, tags)
+    r = DatasetReader(path)
+    assert len(r) == len(samples) and r.channel_tags == tags
+    for i in range(len(samples)):
+        channels = sorted(data.draw(st.sets(st.integers(0, len(tags) - 1), min_size=1)))
+        assert np.array_equal(r.sample(i, standardize=False).data, samples[i])
+        assert np.array_equal(r.sample(i, channels, standardize=False).data, samples[i, channels])
 
 
 @pytest.mark.parametrize("standardize", [True, False])

@@ -7,14 +7,9 @@ import numpy as np
 import pytest
 
 from patchpos.autodiff import Tensor, attention, softmax_lastdim
-from patchpos.encoder import (Block, CrossAttentionBlock, Encoder, EncoderConfig,
-                              MultiHeadAttention, attention_mask_bias)
+from patchpos.encoder import (Block, CrossAttentionBlock, Encoder, MultiHeadAttention,
+                              attention_mask_bias)
 from patchpos.groups import GroupedTokens
-
-
-def test_encoder_config_validation():
-    with pytest.raises(ValueError):
-        EncoderConfig(width=30, heads=4)
 
 
 def test_masked_weights_exactly_zero():
@@ -84,7 +79,7 @@ def tape_ops(out: Tensor) -> dict:
 def test_block_tape_is_fused(masked):
     # One node per layernorm, projection, attention call, GELU and residual.
     rng = np.random.default_rng(7)
-    block = Block(rng, EncoderConfig(depth=1, width=16, heads=2))
+    block = Block(rng, width=16, heads=2, mlp_ratio=4)
     x = Tensor(rng.standard_normal((2, 6, 16)).astype(np.float32), requires_grad=True)
     gids = np.array([0, 0, 1, 1, 2, 2])
     bias = attention_mask_bias(gids, gids) if masked else None
@@ -95,8 +90,7 @@ def test_block_tape_is_fused(masked):
 def test_encoder_permutation_equivariance():
     # Token order only matters through the ids; permuting tokens permutes outputs.
     rng = np.random.default_rng(3)
-    cfg = EncoderConfig(depth=2, width=16, heads=2)
-    enc = Encoder(rng, cfg)
+    enc = Encoder(rng, depth=2, width=16, heads=2, mlp_ratio=4)
     x = np.random.default_rng(4).standard_normal((6, 16)).astype(np.float32)
     gids = np.array([0, 0, 1, 1, 2, 2])
     out = enc(GroupedTokens(Tensor(x), gids, np.arange(6)), True).data
@@ -108,8 +102,7 @@ def test_encoder_permutation_equivariance():
 def test_block_residual_structure():
     # Zeroing attention+mlp outputs reduces a block to the identity.
     rng = np.random.default_rng(5)
-    cfg = EncoderConfig(depth=1, width=8, heads=2)
-    block = Block(rng, cfg)
+    block = Block(rng, width=8, heads=2, mlp_ratio=4)
     block.attn.wo.w.data[:] = 0
     block.attn.wo.b.data[:] = 0
     block.mlp.fc2.w.data[:] = 0
@@ -120,8 +113,7 @@ def test_block_residual_structure():
 
 def test_cross_attention_block():
     rng = np.random.default_rng(9)
-    cfg = EncoderConfig(depth=1, width=16, heads=2)
-    cross = CrossAttentionBlock(rng, cfg)
+    cross = CrossAttentionBlock(rng, width=16, heads=2, mlp_ratio=4)
     zq = Tensor(np.random.default_rng(10).standard_normal((2, 5, 16)).astype(np.float32))
     ref = Tensor(np.random.default_rng(11).standard_normal((2, 3, 16)).astype(np.float32))
     out = cross(zq, ref, np.zeros((2, 5), dtype=np.int64),
@@ -134,8 +126,7 @@ def test_cross_attention_block():
 
 def test_cross_attention_masking_changes_output():
     rng = np.random.default_rng(12)
-    cfg = EncoderConfig(depth=1, width=16, heads=2)
-    cross = CrossAttentionBlock(rng, cfg)
+    cross = CrossAttentionBlock(rng, width=16, heads=2, mlp_ratio=4)
     zq = Tensor(np.random.default_rng(13).standard_normal((1, 4, 16)).astype(np.float32))
     ref = Tensor(np.random.default_rng(14).standard_normal((1, 6, 16)).astype(np.float32))
     qg = np.zeros((1, 4), dtype=np.int64)

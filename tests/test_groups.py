@@ -1,4 +1,5 @@
 """Channel grouping: presets, embedding layout, encodings, group sampling."""
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from patchpos.autodiff import Tensor, gather_seq
+from patchpos.config import ConfigFileError
 from patchpos.data import ALL_BANDS
-from patchpos.groups import (GROUP_PRESETS, ConfigError, GroupEmbedder,
+from patchpos.groups import (GROUP_PRESETS, GroupEmbedder,
                              GroupPositionEncoding, GroupedTokens,
                              build_group_setting, draw_groups, sample_groups,
                              sincos_position_encoding)
@@ -52,10 +54,14 @@ def test_build_group_setting_explicit():
 
 
 def test_build_group_setting_errors():
-    with pytest.raises(ConfigError):
-        build_group_setting("no-such-preset", ["B2"])
-    with pytest.raises(ConfigError, match="B12"):
-        build_group_setting("B2|B12", ["B2"])
+    for spec, tags, message in [
+            ("no-such-preset", ["B2"], "unknown setting 'no-such-preset'"),
+            ("B2|B12", ["B2"], "band 'B12' of 'B2|B12' not in dataset channels"),
+            ("B2||B3", ["B2", "B3"], "group 1 of 'B2||B3' is empty"),
+            ("|", ["B2"], "group 0 of '|' is empty")]:
+        message = re.escape(f"config key 'group_setting': {message}")
+        with pytest.raises(ConfigFileError, match=message):
+            build_group_setting(spec, tags)
 
 
 def test_embedder_group_major_layout():
@@ -133,7 +139,7 @@ def test_sincos_encoding_closed_form():
     w = 1.0 / (10000.0 ** (np.arange(2) / 2))
     assert np.allclose(enc[5, :half], np.concatenate([np.sin(w), np.cos(w)]), atol=1e-6)
     assert np.allclose(enc[5, half:], np.concatenate([np.sin(2 * w), np.cos(2 * w)]), atol=1e-6)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="divisible by 4"):
         sincos_position_encoding(2, 2, 6)
 
 
@@ -236,7 +242,7 @@ def embed_all_then_gather(emb, enc, patches, grid, choice):
     return GroupedTokens(gather_seq(t.tokens, choice * n + np.arange(n)), choice, np.arange(n))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(dtype=st.sampled_from([np.float64, np.float32]),
        lead=st.sampled_from([(), (3,), (2, 3)]), grid=st.sampled_from([(1, 1), (2, 3), (4, 4)]),
        spec=st.sampled_from(["B2|B3", "B2,B3|B3,B4|B4", "B4|B2,B3,B4|B2", "B2,B4|B3"]),

@@ -5,6 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from patchpos.checkpoint import (CheckpointError, check_config_hash,
                                  load_checkpoint, save_checkpoint)
@@ -191,6 +194,27 @@ def test_checkpoint_save_load_save_is_byte_stable(tmp_path):
     assert loaded_meta == meta
     save_checkpoint(p2, loaded, loaded_meta)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+named_arrays = st.dictionaries(
+    st.text("abc/._0123456789", min_size=1, max_size=10),
+    st.sampled_from(["<f4", "<f8", "|i1", "<i8", "|u1", "|b1"]).flatmap(
+        lambda dtype: arrays(dtype, st.lists(st.integers(0, 3), max_size=3).map(tuple))),
+    max_size=5)
+
+
+@settings(max_examples=60)
+@given(named=named_arrays, step=st.integers(0, 2 ** 40))
+def test_checkpoint_round_trip_is_byte_stable(tmp_path_factory, named, step):
+    # 0-d and empty arrays included; any bit pattern, NaNs too, comes back as written
+    d = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(d / "a.ckpt", named, {"step": step})
+    loaded, meta = load_checkpoint(d / "a.ckpt")
+    assert meta == {"step": step} and loaded.keys() == named.keys()
+    for name, a in named.items():
+        assert loaded[name].dtype == a.dtype and loaded[name].tobytes() == a.tobytes()
+    save_checkpoint(d / "b.ckpt", loaded, meta)
+    assert (d / "a.ckpt").read_bytes() == (d / "b.ckpt").read_bytes()
 
 
 def test_checkpoint_truncation_detected(tmp_path):

@@ -170,7 +170,7 @@ def gather_resize(x, out_h, out_w):
     return top * (1 - wy) + bot * wy
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(c=st.integers(1, 4), h=st.integers(1, 96), w=st.integers(1, 96),
        out_h=st.integers(1, 72), out_w=st.integers(1, 72),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -183,7 +183,7 @@ def test_resize_matches_gather_oracle(c, h, w, out_h, out_w, seed):
     assert np.abs(out - gather_resize(crop, out_h, out_w)).max() <= 1e-6
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(c=st.integers(1, 4), src=st.integers(8, 80), out=st.sampled_from([8, 16, 24, 32, 64]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_flipped_view_equals_copy_then_flip(c, src, out, seed):
