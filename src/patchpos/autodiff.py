@@ -185,14 +185,10 @@ class Tensor:
         return matmul(self, self._coerce(other))
 
     def __getitem__(self, key):
+        """numpy indexing, basic or advanced; the one selection op on the tape."""
         a = self
-
-        def bwd(g):
-            gx = np.zeros_like(a.data)
-            np.add.at(gx, key, g)
-            return (gx,)
-
-        return Tensor(a.data[key], parents=(a,), op="getitem", backward=bwd)
+        return Tensor(a.data[key], parents=(a,), op="getitem",
+                      backward=lambda g: (_scatter_add(a.data, key, g),))
 
     # -- reductions / shaping ------------------------------------------------
 
@@ -344,56 +340,32 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                   backward=bwd)
 
 
-def _scatter_add(x: np.ndarray, key, flat_rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Zeros like ``x`` with ``g`` added at ``key``. ``flat_rows`` numbers the
-    selected rows; when no row repeats, a plain indexed assignment gives the
-    same sums as ``np.add.at`` at a fraction of its cost."""
+def _selects_once(key, shape: tuple) -> bool:
+    """Whether indexing an array of ``shape`` with ``key`` can select no
+    element twice: basic indexing, or integer arrays on the leading axes
+    (then only slices) whose raveled positions do not repeat."""
+    parts = key if isinstance(key, tuple) else (key,)
+    arrays = [p for p in parts if isinstance(p, np.ndarray)]
+    if not arrays:
+        return all(isinstance(p, (int, np.integer, slice)) or p is None or p is Ellipsis
+                   for p in parts)
+    if (any(p.dtype.kind not in "iu" for p in arrays)
+            or not all(isinstance(p, slice) for p in parts[len(arrays):])):
+        return False
+    rows = np.ravel_multi_index(arrays, shape[:len(arrays)], mode="wrap").reshape(-1)
+    return rows.size == 0 or np.bincount(rows).max() == 1
+
+
+def _scatter_add(x: np.ndarray, key, g: np.ndarray) -> np.ndarray:
+    """Zeros like ``x`` with ``g`` added at ``key``. When no element is
+    selected twice a plain indexed assignment gives the same sums as
+    ``np.add.at`` at a fraction of its cost."""
     gx = np.zeros_like(x)
-    if flat_rows.size and np.bincount(flat_rows).max() == 1:
+    if _selects_once(key, x.shape):
         gx[key] = g
     else:
         np.add.at(gx, key, g)
     return gx
-
-
-def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows of ``x`` along the first axis."""
-    idx = np.asarray(indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise IndexError(f"gather_rows index out of range for {x.shape[0]} rows")
-    return Tensor(x.data[idx], parents=(x,), op="gather_rows",
-                  backward=lambda g: (_scatter_add(x.data, idx, idx.reshape(-1), g),))
-
-
-def gather_seq(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Select along the second-to-last axis with per-batch index arrays.
-
-    ``x`` has shape (..., L, d) and ``idx`` shape (..., N); the result is
-    (..., N, d).
-    """
-    lead = tuple(np.indices(idx.shape)[:-1])
-    key = lead + (idx,) if lead else (idx,)
-
-    def bwd(g):
-        rows = np.ravel_multi_index(key, x.shape[:-1], mode="wrap") if lead else idx
-        return (_scatter_add(x.data, key, rows.reshape(-1), g),)
-
-    return Tensor(x.data[key], parents=(x,), op="gather_seq", backward=bwd)
-
-
-def take_lastdim(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Pick one entry per last-dimension slice; ``indices`` has shape x.shape[:-1]."""
-    idx = np.asarray(indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[-1]):
-        raise IndexError(f"take_lastdim index out of range for width {x.shape[-1]}")
-    out_data = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, idx[..., None], g[..., None], axis=-1)
-        return (gx,)
-
-    return Tensor(out_data, parents=(x,), op="take_lastdim", backward=bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -436,8 +408,7 @@ def cross_entropy_from_logits(logits: Tensor, target_index) -> Tensor:
         idx = idx.reshape((1,) * (logits.ndim - 1))
         idx = np.broadcast_to(idx, logits.shape[:-1])
     lse = logsumexp_lastdim(logits)[..., 0]
-    picked = take_lastdim(logits, idx)
-    return lse - picked
+    return lse - logits[(*np.indices(idx.shape, sparse=True), idx)]
 
 
 def cross_entropy(logits: Tensor, targets, axis: int = -1, weights=None) -> Tensor:

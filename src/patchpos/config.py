@@ -103,6 +103,13 @@ class _Config:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    def require_paths(self, *names: str) -> None:
+        """A run calls this before it reads or writes anything: an empty path
+        is in its key's domain, because a config may be built without one."""
+        for name in names:
+            if not getattr(self, name):
+                raise ConfigFileError(f"config key '{name}': a path is required, got ''")
+
     @classmethod
     def from_file(cls, path):
         mapping, fields = parse_kv_file(path), {f.name: f for f in dataclasses.fields(cls)}

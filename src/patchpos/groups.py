@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat, gather_rows, gather_seq
+from .autodiff import Tensor, concat
 from .config import ConfigFileError, encoding_widths
 from .nn import Linear
 
@@ -156,7 +156,7 @@ class GroupEmbedder:
         if (order != t).any():
             inverse = np.empty_like(order)
             inverse[order] = t
-            tokens = gather_rows(tokens, inverse)
+            tokens = tokens[inverse]
         return GroupedTokens(tokens.reshape(shape + (self.width,)), group_ids, positions)
 
 
@@ -200,7 +200,7 @@ class GroupPositionEncoding:
 
     def __call__(self, tokens: GroupedTokens, grid_h: int, grid_w: int) -> GroupedTokens:
         pe = self.position_table(grid_h, grid_w)
-        ge_rows = gather_rows(self.group_table, tokens.group_ids)
+        ge_rows = self.group_table[tokens.group_ids]
         pe_rows = np.broadcast_to(pe[tokens.position_ids], ge_rows.shape[:-1] + (self.d_pe,))
         enc = concat([ge_rows, Tensor(pe_rows)], axis=-1)
         return GroupedTokens(tokens.tokens + enc, tokens.group_ids, tokens.position_ids)
@@ -228,8 +228,7 @@ def sample_groups(tokens: GroupedTokens, rng: np.random.Generator) -> GroupedTok
         raise ValueError(f"sequence length {length} is not G*N for N={n}")
     if g == 1:
         return tokens
-    lead = tokens.tokens.shape[:-2]
-    choice = draw_groups(g, lead + (n,), rng)
+    choice = draw_groups(g, tokens.tokens.shape[:-2] + (n,), rng)
     idx = choice * n + np.arange(n)
-    out = gather_seq(tokens.tokens, idx)
+    out = tokens.tokens[(*np.indices(idx.shape, sparse=True)[:-1], idx)]
     return GroupedTokens(out, choice, np.arange(n))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, dropout, gather_seq
+from .autodiff import Tensor, dropout
 from .config import PretrainConfig
 from .encoder import Backbone, CrossAttentionBlock
 from .groups import GroupedTokens, draw_groups, sample_groups  # noqa: F401
@@ -151,11 +151,9 @@ class PretrainModel:
         cfg = self.cfg
         l_ref = zr.length
         keep = int(np.ceil((1.0 - cfg.eta) * l_ref))
-        if keep == 0:
-            return zq.tokens
         idx = np.stack([np.sort(rng.choice(l_ref, size=keep, replace=False))
                         for _ in range(b)])
-        visible = gather_seq(zr.tokens, idx)                     # (B, keep, d)
+        visible = zr.tokens[np.arange(b)[:, None], idx]          # (B, keep, d)
         r_groups = np.broadcast_to(zr.group_ids, (b, l_ref))
         vis_groups = np.take_along_axis(r_groups, idx, axis=1)   # (B, keep)
         vis_b = visible.reshape(b, 1, keep, cfg.width)

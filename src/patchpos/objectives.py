@@ -7,8 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (Tensor, cross_entropy, gather_rows, gelu, log, no_grad,
-                       softmax_lastdim, sqrt)
+from .autodiff import Tensor, cross_entropy, gelu, log, no_grad, softmax_lastdim, sqrt
 from .nn import Linear
 from .views import Correspondence
 
@@ -84,7 +83,7 @@ def position_loss(u: Tensor, head: PositionHead, corrs: Sequence[Correspondence]
     if rows.size == 0:
         return Tensor(np.zeros((), dtype=u.dtype)), None, 0
     logits = head(u).reshape(n_views * n_q, head.n_ref)
-    picked = gather_rows(logits, rows)
+    picked = logits[rows]
     loss = cross_entropy(picked, targets, weights=weights).sum()
     acc = float(np.mean(np.argmax(picked.data, axis=-1) == targets))
     return loss, acc, int(rows.size)
@@ -189,7 +188,7 @@ def cluster_objective(z_q: Tensor, z_ref: np.ndarray, head: ClusterHead,
     into them; ``targets_ref_positions`` gives h(i) per row into ``z_ref``.
     """
     labels = pseudo_labels(z_ref, head, targets_ref_positions, iterations=sinkhorn_iterations)
-    logits = head.logits(gather_rows(z_q, rows))
+    logits = head.logits(z_q[rows])
     loss = soft_cross_entropy(logits, labels, weights)
     reg = mean_entropy_regularizer(softmax_lastdim(logits))
     return loss, reg

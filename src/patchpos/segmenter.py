@@ -5,8 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, conv2d, conv_transpose2d, cross_entropy, gather_rows, gelu,
-                       no_grad)
+from .autodiff import Tensor, conv2d, conv_transpose2d, cross_entropy, gelu, no_grad
 from .checkpoint import load_checkpoint, load_params, save_checkpoint
 from .config import ConfigFileError, FinetuneConfig, PretrainConfig
 from .data import DatasetReader, read_labels
@@ -109,17 +108,15 @@ class SegmentationModel:
 
 
 def pixel_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_label: int = -1) -> Tensor:
-    """Mean cross-entropy over non-ignored pixels. When no pixel is ignored
-    the (B, K, H, W) logits are used as they are, with no copy or gather."""
-    lab = labels.astype(np.int64)
-    valid = np.flatnonzero(lab != ignore_label)
-    if valid.size == 0:
+    """Mean cross-entropy over non-ignored pixels, on the (B, K, H, W)
+    logits as they are: an ignored pixel weighs 0."""
+    valid = labels != ignore_label
+    n_valid = int(valid.sum())
+    if n_valid == 0:
         return Tensor(np.zeros((), dtype=logits.dtype))
-    if valid.size == lab.size:
-        return cross_entropy(logits, lab, axis=1).mean()
-    B, K, H, W = logits.shape
-    flat = logits.transpose((0, 2, 3, 1)).reshape(B * H * W, K)
-    return cross_entropy(gather_rows(flat, valid), lab.reshape(-1)[valid]).mean()
+    weights = None if n_valid == valid.size else valid
+    targets = np.where(valid, labels, 0).astype(np.int64)
+    return cross_entropy(logits, targets, axis=1, weights=weights).sum() * (1.0 / n_valid)
 
 
 # -- metrics ----------------------------------------------------------------
@@ -198,6 +195,7 @@ def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
              seed: int | None = None, miou_threshold: float | None = None,
              log_stream=None) -> FinetuneResult:
     """End-to-end finetuning of one run; reports held-out IoU/mIoU."""
+    cfg.require_paths("dataset", "labels")
     seed = cfg.seed if seed is None else seed
     ckpt_arrays, ckpt_meta = (None, None)
     if cfg.checkpoint:

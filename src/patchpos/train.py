@@ -88,6 +88,7 @@ def _logged_through(path, step: int) -> list[str]:
 def pretrain(cfg: PretrainConfig, out_dir: str, resume: str | None = None,
              max_steps: int | None = None, log_stream=None) -> dict:
     """Run pretraining; returns a summary with checkpoint path and metrics."""
+    cfg.require_paths("dataset")
     os.makedirs(out_dir, exist_ok=True)
     reader = DatasetReader(cfg.dataset)
     if len(reader) == 0:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from patchpos import autodiff as ad
 from patchpos.autodiff import Tensor
@@ -134,20 +135,24 @@ def test_gelu_on_a_0d_tensor_matches_the_1_element_case(dtype):
 
 
 def test_gather_rows():
+    # row selection by indexing; negatives wrap and out-of-range raises, as in numpy
     rng = np.random.default_rng(6)
     a = t64(rng, 5, 3)
     idx = np.array([0, 2, 2, 4])
-    check(lambda a: (ad.gather_rows(a, idx) ** 2).sum(), a)
+    check(lambda a: (a[idx] ** 2).sum(), a)
+    assert np.array_equal(a[np.array([-1])].data, a.data[4:])
     with pytest.raises(IndexError):
-        ad.gather_rows(a, np.array([5]))
+        a[np.array([5])]
 
 
 def test_gather_seq():
+    # one index row per sequence, selecting along the second-to-last axis
     rng = np.random.default_rng(7)
     a = t64(rng, 2, 6, 3)
     idx = np.array([[0, 5, 2], [1, 1, 3]])
-    check(lambda a: (ad.gather_seq(a, idx) * 1.5).sum(), a)
-    out = ad.gather_seq(a, idx)
+    lead = np.arange(2)[:, None]
+    check(lambda a: (a[lead, idx] * 1.5).sum(), a)
+    out = a[lead, idx]
     assert np.array_equal(out.data[1, 0], a.data[1, 1])
 
 
@@ -158,7 +163,7 @@ def test_gather_rows_backward_matches_add_at(idx):
     idx = np.array(idx)
     x = Tensor(rng.standard_normal((5, 3)).astype(np.float32), requires_grad=True)
     g = rng.standard_normal(idx.shape + (3,)).astype(np.float32)
-    (ad.gather_rows(x, idx) * Tensor(g)).sum().backward()
+    (x[idx] * Tensor(g)).sum().backward()
     want = np.zeros_like(x.data)
     np.add.at(want, idx, g)
     assert np.array_equal(x.grad, want)
@@ -170,17 +175,55 @@ def test_gather_seq_backward_matches_add_at(idx):
     idx = np.array(idx)
     x = Tensor(rng.standard_normal((2, 6, 3)).astype(np.float32), requires_grad=True)
     g = rng.standard_normal(idx.shape + (3,)).astype(np.float32)
-    (ad.gather_seq(x, idx) * Tensor(g)).sum().backward()
+    (x[np.arange(2)[:, None], idx] * Tensor(g)).sum().backward()
     want = np.zeros_like(x.data)
     np.add.at(want, (np.arange(2)[:, None], idx), g)
     assert np.array_equal(x.grad, want)
 
 
 def test_take_lastdim():
+    # one entry per row, picked along the last axis
     rng = np.random.default_rng(8)
     a = t64(rng, 4, 6)
     idx = np.array([0, 5, 3, 3])
-    check(lambda a: ad.take_lastdim(a, idx).sum(), a)
+    check(lambda a: a[np.arange(4), idx].sum(), a)
+
+
+@st.composite
+def selections(draw):
+    """An array shape and a key into it: integer arrays (repeats and negatives
+    included) or broadcasting tuples of them on the leading axes, basic
+    slices, or a boolean mask."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    kind = draw(st.sampled_from(["ints", "tuple", "slices", "mask"]))
+    if kind == "ints":
+        idx_shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)))
+        return shape, draw(hnp.arrays(np.int64, idx_shape,
+                                      elements=st.integers(-shape[0], shape[0] - 1)))
+    if kind == "tuple":
+        k = draw(st.integers(1, len(shape)))
+        ndims = draw(st.integers(1, 2))
+        return shape, tuple(draw(hnp.arrays(np.int64, draw(hnp.broadcastable_shapes(
+                                (3,) * ndims, min_dims=ndims, max_dims=ndims, min_side=1,
+                                max_side=3)), elements=st.integers(-n, n - 1)))
+                            for n in shape[:k])
+    if kind == "slices":
+        return shape, tuple(slice(draw(st.integers(-n, n)), draw(st.integers(-n, n)),
+                                  draw(st.sampled_from([1, 2, -1]))) for n in shape)
+    return shape, draw(hnp.arrays(np.bool_, shape))
+
+
+@settings(max_examples=200)
+@given(sel=selections(), seed=st.integers(0, 2 ** 32 - 1))
+def test_getitem_backward_matches_add_at(sel, seed):
+    shape, key = sel
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    g = rng.standard_normal(x.data[key].shape).astype(np.float32)
+    (x[key] * Tensor(g)).sum().backward()
+    want = np.zeros_like(x.data)
+    np.add.at(want, key, g)
+    assert np.array_equal(x.grad, want)
 
 
 def test_concat():
@@ -404,7 +447,7 @@ def small_net(rng, dtype=np.float32):
     x, w, b, gain, bias = leaf(2, 5, 8), leaf(8, 8), leaf(8), leaf(8), leaf(8)
     h = ad.gelu(ad.layernorm(ad.linear(x, w, b), gain, bias))
     h = ad.attention(h, h, h, 2) + h
-    rows = ad.gather_rows(h.reshape(10, 8), np.array([0, 3, 3, 9]))
+    rows = h.reshape(10, 8)[np.array([0, 3, 3, 9])]
     img, kern = leaf(1, 2, 4, 4), leaf(3, 2, 3, 3)
     pix = ad.conv2d(img, kern, padding=1)
     loss = (ad.cross_entropy(rows, np.array([1, 0, 7, 2]), weights=np.full(4, 0.25)).sum()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from patchpos.autodiff import Tensor, gather_seq
+from patchpos.autodiff import Tensor
 from patchpos.config import ConfigFileError
 from patchpos.data import ALL_BANDS
 from patchpos.groups import (GROUP_PRESETS, GroupEmbedder,
@@ -111,7 +111,7 @@ def tape_ops(root):
     ("all", (3, 2), False, {"linear": 1}),
     ("all", (3, 2), True, {"linear": 1}),
     ("B2|B3,B4", (), False, {"linear": 2, "concat": 1, "reshape": 1}),
-    ("B2|B3,B4", (3,), False, {"linear": 2, "concat": 1, "gather_rows": 1, "reshape": 1}),
+    ("B2|B3,B4", (3,), False, {"linear": 2, "concat": 1, "getitem": 1, "reshape": 1}),
 ], ids=["G1", "G1-batched", "G1-sampled", "G2", "G2-batched"])
 def test_embedder_tape(spec, lead, sampled, ops):
     # one GEMM per group; the rows are permuted only when the groups' pieces
@@ -239,7 +239,8 @@ def embed_all_then_gather(emb, enc, patches, grid, choice):
     then keep the chosen group's token per position."""
     t = enc(emb(patches), *grid)
     n = patches.shape[-4]
-    return GroupedTokens(gather_seq(t.tokens, choice * n + np.arange(n)), choice, np.arange(n))
+    lead = np.indices(choice.shape, sparse=True)[:-1]
+    return GroupedTokens(t.tokens[(*lead, choice * n + np.arange(n))], choice, np.arange(n))
 
 
 @settings(max_examples=40)

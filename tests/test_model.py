@@ -122,30 +122,28 @@ def test_export_load_roundtrip(images):
 def test_cross_attend_keep_counts(images, monkeypatch):
     # eta keeps ceil((1 - eta) * N_ref) sorted distinct reference rows per
     # image; eta = 1 bypasses the cross-attention block
-    seen = []
-    real = model_module.gather_seq
-
-    def spy(x, idx):
-        out = real(x, idx)
-        seen.append((x.data, idx, out.data))
-        return out
-
-    monkeypatch.setattr(model_module, "gather_seq", spy)
     n_ref = (32 // 8) ** 2
     for eta, keep in [(0.8, 4), (0.5, 8), (0.0, n_ref)]:
         assert keep == int(np.ceil((1 - eta) * n_ref))
-        seen.clear()
-        PretrainModel(cfg(eta=eta, cluster_loss=False), ALL_BANDS).forward_step(
-            images, np.random.default_rng(2))
-        (z, idx, visible), = seen
-        assert idx.shape == (len(images), keep)
+        m = PretrainModel(cfg(eta=eta, cluster_loss=False), ALL_BANDS)
+        encoded, crossed = [], []
+        encode, cross = m._encode, m.cross
+        monkeypatch.setattr(m, "_encode", lambda *a: encoded.append(encode(*a)) or encoded[-1])
+        monkeypatch.setattr(m, "cross", lambda *a: crossed.append(a) or cross(*a))
+        m.forward_step(images, np.random.default_rng(2))
+        z = encoded[1].tokens.data                  # the reference tokens
+        (_, visible, _, vis_groups, _), = crossed
+        assert visible.shape == (len(images), 1, keep, z.shape[-1])
+        # each visible row is the reference row it equals, in sorted order
+        idx = np.array([[np.flatnonzero((zi == row).all(axis=1))[0] for row in vi[0]]
+                        for zi, vi in zip(z, visible.data)])
         assert all(np.array_equal(row, np.unique(row)) for row in idx)
-        assert np.array_equal(visible, np.take_along_axis(z, idx[..., None], axis=1))
-    seen.clear()
+        groups = np.broadcast_to(encoded[1].group_ids, z.shape[:2])
+        assert np.array_equal(vis_groups[:, 0], np.take_along_axis(groups, idx, axis=1))
     m = PretrainModel(cfg(eta=1.0), ALL_BANDS)
     monkeypatch.setattr(m, "cross", None)       # calling it would fail
     _, rep = m.forward_step(images, np.random.default_rng(2))
-    assert seen == [] and np.isfinite(rep.combined)
+    assert np.isfinite(rep.combined)
 
 
 @pytest.mark.parametrize("setting", ["best", "s2+s1-mixed", "B2,B3|B11,B12", "all"])

@@ -93,7 +93,7 @@ def test_position_loss_matches_the_composite_bit_for_bit():
     head.linear.w.grad = None
     ref_u = Tensor(x, requires_grad=True)
     rows, targets, weights = flatten_correspondences(corrs, 20)
-    picked = ad.gather_rows(head(ref_u).reshape(120, 64), rows)
+    picked = head(ref_u).reshape(120, 64)[rows]
     ref = (ad.cross_entropy_from_logits(picked, targets)
            * Tensor(weights.astype(np.float32))).sum()
     ref.backward()
@@ -257,8 +257,7 @@ def test_cluster_objective_gradients():
     labels = pseudo_labels(z_ref, head, targets)
 
     def fn_frozen(*_):
-        from patchpos.autodiff import gather_rows
-        logits = head.logits(gather_rows(z_q, rows))
+        logits = head.logits(z_q[rows])
         loss = soft_cross_entropy(logits, labels, weights)
         return loss - 0.5 * mean_entropy_regularizer(softmax_lastdim(logits))
 

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from patchpos import segmenter
-from patchpos.autodiff import (Tensor, conv_transpose2d, cross_entropy_from_logits, gather_rows,
-                               no_grad)
+from patchpos.autodiff import Tensor, conv_transpose2d, cross_entropy_from_logits, no_grad
 from patchpos.checkpoint import CheckpointError
 from patchpos.config import ConfigFileError, FinetuneConfig, PretrainConfig
 from patchpos.data import ALL_BANDS, DatasetReader, generate_synthetic_segmentation, read_labels
@@ -108,14 +107,29 @@ def test_pixel_cross_entropy_without_ignored_pixels_skips_gather():
     loss = pixel_cross_entropy(logits, labels)
     assert tape_ops(loss) == {"leaf", "cross_entropy", "sum", "mul"}    # before backward frees it
     loss.backward()
-    # bit for bit the gather path, which selects every row
+    # bit for bit the composite on the pixel rows, with every row selected
     ref_logits = Tensor(x, requires_grad=True)
     flat = ref_logits.transpose((0, 2, 3, 1)).reshape(-1, 3)
-    ref = cross_entropy_from_logits(gather_rows(flat, np.arange(flat.shape[0])),
-                                    labels.reshape(-1)).mean()
+    ref = cross_entropy_from_logits(flat[np.arange(flat.shape[0])], labels.reshape(-1)).mean()
     ref.backward()
     assert loss.data.tobytes() == ref.data.tobytes()
     assert logits.grad.tobytes() == ref_logits.grad.tobytes()
+
+
+def test_pixel_cross_entropy_weighs_ignored_pixels_zero():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+    labels = rng.integers(-1, 3, size=(2, 4, 5))
+    valid = labels != -1
+    assert 0 < valid.sum() < valid.size
+    logits = Tensor(x, requires_grad=True)
+    loss = pixel_cross_entropy(logits, labels)
+    loss.backward()
+    flat = Tensor(x).transpose((0, 2, 3, 1))[valid]
+    want = cross_entropy_from_logits(flat, labels[valid]).mean()
+    assert np.isclose(float(loss.data), float(want.data), rtol=1e-6, atol=0)
+    assert np.all(logits.grad.transpose(0, 2, 3, 1)[~valid] == 0.0)
+    assert np.all(logits.grad.transpose(0, 2, 3, 1)[valid].any(axis=-1))
 
 
 def test_iou_hand_cases():

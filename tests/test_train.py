@@ -12,10 +12,11 @@ from hypothesis.extra.numpy import arrays
 from patchpos.checkpoint import (CheckpointError, check_config_hash,
                                  load_checkpoint, save_checkpoint)
 from patchpos import train
-from patchpos.config import ConfigFileError, PretrainConfig
+from patchpos.config import ConfigFileError, FinetuneConfig, PretrainConfig
 from patchpos.data import generate_synthetic_dataset
 from patchpos.model import PretrainModel
 from patchpos.optim import AdamW
+from patchpos.segmenter import finetune
 from patchpos.train import (TrainingAborted, pretrain, restore_run_checkpoint,
                             save_run_checkpoint, step_rng)
 
@@ -103,6 +104,17 @@ def test_empty_dataset_rejected(tmp_path):
     generate_synthetic_dataset(path, 0, 16, 16, ["B2"], 0)
     with pytest.raises(ValueError, match="no samples"):
         pretrain(small_cfg(path), tmp_path / "out")
+
+
+def test_empty_paths_fail_before_anything_is_written(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigFileError, match="'dataset'"):
+        pretrain(PretrainConfig(), out)
+    assert not out.exists()
+    with pytest.raises(ConfigFileError, match="'dataset'"):
+        finetune(FinetuneConfig(), pretrain_cfg=PretrainConfig())
+    with pytest.raises(ConfigFileError, match="'labels'"):
+        finetune(FinetuneConfig(dataset=str(tmp_path / "d.mmr")), pretrain_cfg=PretrainConfig())
 
 
 def test_pretrain_rejects_a_batch_larger_than_the_dataset(dataset, tmp_path):

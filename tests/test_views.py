@@ -79,6 +79,29 @@ def test_correspondence_matches_oracle():
                               oracle_h(q, ref, src, src))
 
 
+@st.composite
+def view_pairs(draw):
+    """Two views of one source: crop rectangles anywhere inside it, either
+    flip, one patch size and output sizes that are multiples of it."""
+    src_h, src_w = draw(st.integers(4, 48)), draw(st.integers(4, 48))
+    patch = draw(st.sampled_from([4, 8, 16]))
+
+    def view():
+        top, left = draw(st.integers(0, src_h - 1)), draw(st.integers(0, src_w - 1))
+        return ViewSpec(top, left, draw(st.integers(1, src_h - top)),
+                        draw(st.integers(1, src_w - left)), draw(st.booleans()),
+                        patch * draw(st.integers(1, 4)), patch * draw(st.integers(1, 4)), patch)
+
+    return view(), view(), src_h, src_w
+
+
+@settings(max_examples=300)
+@given(pair=view_pairs())
+def test_correspondence_matches_oracle_on_any_view_pair(pair):
+    q, ref, src_h, src_w = pair
+    assert np.array_equal(compute_correspondence(q, ref).h, oracle_h(q, ref, src_h, src_w))
+
+
 def test_hand_case_identical_views():
     # Same crop, same geometry: h is the identity.
     v = ViewSpec(0, 0, 32, 32, False, 32, 32, 8)
