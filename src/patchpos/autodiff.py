@@ -258,46 +258,56 @@ _ERF_P = 0.3275911
 _ERF_A = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
 
 
-def _erf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(erf(x), exp(-x**2)) from numpy ufuncs, in the dtype of ``x``
-    (A&S 7.1.26, odd extension); the Gaussian is a by-product of erf.
-    A 0-d ``x`` is computed as shape (1,): numpy returns scalars, which take
-    no ``out=``, for 0-d operands."""
-    a = np.atleast_1d(np.abs(x))
+def _gelu_into(z: np.ndarray, x: np.ndarray) -> Optional[np.ndarray]:
+    """Write GELU(x) = x·Φ(x) into ``z``, which may be ``x`` itself, and
+    return the derivative Φ(x) + x·φ(x); under ``no_grad()`` return None.
+
+    Φ(x) = (1 + erf(x/√2)) / 2 with erf from A&S 7.1.26 (odd extension),
+    whose absolute error is at most 1.5e-7 (plus float32 rounding on float32
+    inputs). exp(-x²/2) is evaluated once, for erf, and reused for φ. The
+    kernel allocates three arrays, in the dtype of ``x``, and works in place
+    on them; ``x`` must be at least 1-d, because numpy returns scalars, which
+    take no ``out=``, for 0-d operands.
+    """
+    a = x * _INV_SQRT2
+    np.abs(a, out=a)
     t = a * _ERF_P
     t += 1.0
     np.reciprocal(t, out=t)
     y = t * _ERF_A[0]
-    for coef in _ERF_A[1:]:     # Horner steps, in place
+    for coef in _ERF_A[1:]:     # Horner steps
         y += coef
         y *= t
     np.square(a, out=a)
     np.negative(a, out=a)
-    np.exp(a, out=a)
+    np.exp(a, out=a)            # exp(-x²/2)
     y *= a
     np.subtract(1.0, y, out=y)
-    return np.copysign(y, x, out=y).reshape(np.shape(x)), a.reshape(np.shape(x))
+    np.copysign(y, x, out=y)    # erf(x/√2), which has the sign of x
+    y += 1.0                    # 2Φ(x)
+    if not _grad_enabled:
+        np.multiply(x, 0.5, out=z)
+        z *= y
+        return None
+    a *= x                      # x·φ(x), read from x before z may overwrite it
+    a *= _INV_SQRT2PI
+    np.multiply(x, 0.5, out=z)
+    z *= y                      # x·Φ(x)
+    y *= 0.5
+    y += a
+    return y
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Erf-based GELU; erf follows Abramowitz & Stegun 7.1.26, whose absolute
-    error is at most 1.5e-7 (plus float32 rounding on float32 inputs).
-
-    Forward evaluates exp(-x²/2) once, for erf, and reuses it to build the
-    derivative Φ(x) + x·φ(x), so backward is one multiply. Under
-    ``no_grad()`` the derivative is not built.
-    """
-    xd = x.data
-    d, gauss = _erf(xd * _INV_SQRT2)    # gauss = exp(-x²/2)
-    d += 1.0
-    out_data = 0.5 * xd * d
-    if not _grad_enabled:
-        return Tensor(out_data, op="gelu")
-    gauss *= xd
-    gauss *= _INV_SQRT2PI
-    d *= 0.5
-    d += gauss
-    return Tensor(out_data, parents=(x,), op="gelu", backward=lambda g: (g * d,))
+    """Erf-based GELU as its own tape node; ``linear``, ``conv2d`` and
+    ``conv_transpose2d`` apply the same kernel in place as an epilogue
+    (``gelu=True``). Backward is one multiply by the derivative the forward
+    kept."""
+    xd = np.atleast_1d(x.data)
+    out = np.empty_like(xd)
+    d = _gelu_into(out, xd)
+    return Tensor(out.reshape(x.shape), parents=(x,), op="gelu",
+                  backward=lambda g: (g * d.reshape(g.shape),))
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -317,27 +327,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(np.matmul(a.data, b.data), parents=(a, b), op="matmul", backward=bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` over the last axis of ``x``.
+def linear(x: Tensor, w: Tensor, b: Tensor, gelu: bool = False) -> Tensor:
+    """Affine map ``x @ w + b`` over the last axis of ``x``, then GELU when
+    ``gelu`` is set.
 
     ``x``: (..., d_in); ``w``: (d_in, d_out); ``b``: (d_out,). The leading
-    dimensions are flattened into rows, so forward is one GEMM and backward
-    is one GEMM each for the input and weight gradients plus a row sum.
+    dimensions are flattened into rows, so forward is one GEMM whose output
+    takes the bias and GELU in place, and backward is one multiply by the
+    GELU derivative (the only array the epilogue keeps), one GEMM each for
+    the input and weight gradients and a row sum.
     """
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"linear expects x (..., d_in), w (d_in, d_out), b (d_out,), "
                          f"got {x.shape}, {w.shape}, {b.shape}")
     d_in, d_out = w.shape
     x2 = x.data.reshape(-1, d_in)
+    out = (x2 @ w.data).reshape(x.shape[:-1] + (d_out,))
+    out += b.data
+    deriv = _gelu_into(out, out) if gelu else None
 
     def bwd(g):
+        if deriv is not None:
+            g = g * deriv
         g2 = g.reshape(-1, d_out)
         gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
         return (gx, x2.T @ g2, g2.sum(axis=0))
 
-    out = x2 @ w.data + b.data
-    return Tensor(out.reshape(x.shape[:-1] + (d_out,)), parents=(x, w, b), op="linear",
-                  backward=bwd)
+    return Tensor(out, parents=(x, w, b), op="linear", backward=bwd)
 
 
 def _selects_once(key, shape: tuple) -> bool:
@@ -554,8 +570,15 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 # -- convolutions ------------------------------------------------------------
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation. ``x``: (B, Cin, H, W); ``kernel``: (Cout, Cin, kh, kw).
+def _channel_bias_grad(g: np.ndarray, bias: Tensor) -> np.ndarray:
+    """The gradient of a (C,) bias added per channel to (B, C, H, W) maps."""
+    return _unbroadcast(g, (1, bias.data.size, 1, 1)).reshape(bias.shape)
+
+
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
+           bias: Optional[Tensor] = None, gelu: bool = False) -> Tensor:
+    """2-d cross-correlation, plus a per-channel ``bias`` and then GELU when
+    given. ``x``: (B, Cin, H, W); ``kernel``: (Cout, Cin, kh, kw); ``bias``: (Cout,).
 
     One small GEMM per image and kernel tap, with no column matrix. The
     padded input is viewed as (B, Cin, L), L = Hp·Wp, so stride-1 output
@@ -563,9 +586,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     at that index plus s = i·Wp + j. Each tap adds
     ``W_ij @ x_flat[:, :, s:s+n]`` into one accumulator; the columns past
     the last valid one wrap into the next row and are cropped, and a stride
-    keeps every stride-th row and column. Backward mirrors it: gx adds
-    ``W_ijᵀ @ g_flat`` back at each tap's offset, and
-    gw_ij = Σ_b g_flat @ x_flat[:, :, s:s+n]ᵀ.
+    keeps every stride-th row and column. The bias add writes the cropped
+    output into a fresh array, so the accumulator is not kept, and GELU
+    runs in place on it. Backward multiplies by the GELU derivative first,
+    then mirrors the forward: gx adds ``W_ijᵀ @ g_flat`` back at each tap's
+    offset, and gw_ij = Σ_b g_flat @ x_flat[:, :, s:s+n]ᵀ.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/kernel, got {x.shape}, {kernel.shape}")
@@ -583,19 +608,25 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     xf = xp.reshape(B, cin, Hp * Wp)
     wt = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))   # (kh, kw, Cout, Cin)
-    acc = np.zeros((B, cout, Hf * Wp), dtype=np.result_type(x.data, kernel.data))
+    dtype = np.result_type(x.data, kernel.data)
+    acc = np.zeros((B, cout, Hf * Wp), dtype=dtype)
     for b in range(B):      # image-major, so one image's accumulator stays in cache
         for i, j, s in taps:
             acc[b, :, :n] += wt[i, j] @ xf[b, :, s:s + n]
-    out = acc.reshape(B, cout, Hf, Wp)[:, :, ::stride, :Wf:stride]
+    out = acc.reshape(B, cout, Hf, Wp)[:, :, ::stride, :Wf:stride].astype(x.dtype, copy=False)
+    if bias is not None:
+        out = out + bias.data.reshape(1, cout, 1, 1)
+    deriv = _gelu_into(out, out) if gelu else None
 
     def bwd(g):
-        gs = np.zeros_like(acc).reshape(B, cout, Hf, Wp)
+        if deriv is not None:
+            g = g * deriv
+        gs = np.zeros((B, cout, Hf, Wp), dtype=dtype)
         gs[:, :, ::stride, :Wf:stride] = g           # back onto the stride-1 positions
         gf = gs.reshape(B, cout, Hf * Wp)[:, :, :n]
         gx = None
         if x.requires_grad:
-            gxf = np.zeros((B, cin, Hp * Wp), dtype=acc.dtype)
+            gxf = np.zeros((B, cin, Hp * Wp), dtype=dtype)
             for b in range(B):
                 for i, j, s in taps:
                     gxf[b, :, s:s + n] += wt[i, j].T @ gf[b]
@@ -603,17 +634,24 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         gw = np.empty(kernel.shape, dtype=kernel.dtype)
         for i, j, s in taps:
             gw[:, :, i, j] = np.matmul(gf, xf[:, :, s:s + n].swapaxes(1, 2)).sum(axis=0)
-        return (gx, gw)
+        return (gx, gw) if bias is None else (gx, gw, _channel_bias_grad(g, bias))
 
-    return Tensor(out.astype(x.dtype, copy=False), parents=(x, kernel), op="conv2d", backward=bwd)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return Tensor(out, parents=parents, op="conv2d", backward=bwd)
 
 
-def conv_transpose2d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
-    """Transposed convolution whose windows do not overlap (kernel size == stride).
+def conv_transpose2d(x: Tensor, kernel: Tensor, stride: int, bias: Optional[Tensor] = None,
+                     gelu: bool = False) -> Tensor:
+    """Transposed convolution whose windows do not overlap (kernel size ==
+    stride), plus a per-channel ``bias`` and then GELU when given.
 
-    ``x``: (B, Cin, H, W); ``kernel``: (Cin, Cout, s, s); output (B, Cout, H*s, W*s).
-    Each input pixel paints one s x s block, so the op is one matmul
-    (B*H*W, Cin) @ (Cin, Cout*s*s) followed by a pixel shuffle.
+    ``x``: (B, Cin, H, W); ``kernel``: (Cin, Cout, s, s); ``bias``: (Cout,);
+    output (B, Cout, H*s, W*s). Each input pixel paints one s x s block, so
+    the op is one matmul (B*H*W, Cin) @ (Cin, Cout*s*s) whose result is
+    pixel-shuffled into a fresh output in the same pass as the bias add;
+    GELU then runs in place on it. Backward multiplies by the GELU
+    derivative first, shuffles the gradient back to (B*H*W, Cout*s*s) and
+    is one GEMM each for the input and kernel gradients.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv_transpose2d expects 4-d input/kernel, got {x.shape}, {kernel.shape}")
@@ -625,9 +663,30 @@ def conv_transpose2d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
                          f"{kernel.shape[2]}x{kernel.shape[3]} kernel at stride {s}")
     B, cin, H, W = x.shape
     cout = kernel.shape[1]
-    cols = x.transpose((0, 2, 3, 1)).reshape(B * H * W, cin) @ kernel.reshape(cin, cout * s * s)
-    out = cols.reshape(B, H, W, cout, s, s).transpose((0, 3, 1, 4, 2, 5))
-    return out.reshape(B, cout, H * s, W * s)
+    xc = x.data.transpose(0, 2, 3, 1).reshape(B * H * W, cin)
+    k2 = kernel.data.reshape(cin, cout * s * s)
+    cols = np.matmul(xc, k2).reshape(B, H, W, cout, s, s).transpose(0, 3, 1, 4, 2, 5)
+    out = np.empty((B, cout, H * s, W * s), dtype=cols.dtype)
+    blocks = out.reshape(cols.shape)        # (B, Cout, H, s, W, s), a view of out
+    if bias is None:
+        np.copyto(blocks, cols)
+    else:
+        np.add(cols, bias.data.reshape(1, cout, 1, 1, 1, 1), out=blocks)
+    deriv = _gelu_into(out, out) if gelu else None
+
+    def bwd(g):
+        if deriv is not None:
+            g = g * deriv
+        gc = g.reshape(B, cout, H, s, W, s).transpose(0, 2, 4, 1, 3, 5)
+        gc = gc.reshape(B * H * W, cout * s * s)       # a copy: the shuffle undone
+        gx = None
+        if x.requires_grad:
+            gx = np.matmul(gc, k2.T).reshape(B, H, W, cin).transpose(0, 3, 1, 2)
+        gk = np.matmul(xc.T, gc).reshape(kernel.shape)
+        return (gx, gk) if bias is None else (gx, gk, _channel_bias_grad(g, bias))
+
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return Tensor(out, parents=parents, op="conv_transpose2d", backward=bwd)
 
 
 # -- gradient checking -------------------------------------------------------

@@ -57,8 +57,8 @@ def cmd_pretrain(args):
 
 def cmd_finetune(args):
     cfg = _override(FinetuneConfig.from_file(args.config), seed=args.seed, runs=args.runs)
-    results, mean_miou = finetune_runs(cfg, log_stream=sys.stdout)
     os.makedirs(args.out, exist_ok=True)
+    results, mean_miou = finetune_runs(cfg, log_stream=sys.stdout)
     for r, res in enumerate(results):
         for c, iou in enumerate(res.per_class_iou):
             if not np.isnan(iou):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, gelu, layernorm, linear
+from .autodiff import Tensor, layernorm, linear
 
 
 def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -19,8 +19,8 @@ class Linear:
     def __init__(self, rng, fan_in, fan_out, dtype=np.float32, std=None):
         self.w, self.b = init_linear(rng, fan_in, fan_out, dtype=dtype, std=std)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.w, self.b)
+    def __call__(self, x: Tensor, gelu: bool = False) -> Tensor:
+        return linear(x, self.w, self.b, gelu=gelu)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
@@ -46,7 +46,7 @@ class Mlp:
         self.fc2 = Linear(rng, hidden, width, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(gelu(self.fc1(x)))
+        return self.fc2(self.fc1(x, gelu=True))
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {**self.fc1.params(f"{prefix}.fc1"), **self.fc2.params(f"{prefix}.fc2")}

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, cross_entropy, gelu, log, no_grad, softmax_lastdim, sqrt
+from .autodiff import Tensor, cross_entropy, log, no_grad, softmax_lastdim, sqrt
 from .nn import Linear
 from .views import Correspondence
 
@@ -102,7 +102,9 @@ def sinkhorn_knopp(scores: np.ndarray, iterations: int = 3, tau: float = 1.0) ->
     if not np.all(np.isfinite(s)):
         raise ValueError("non-finite scores")
     b, k = s.shape
-    p = np.exp(s / tau - (s / tau).max(axis=1, keepdims=True))
+    p = s / tau
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
     for _ in range(iterations):
         p /= p.sum(axis=0, keepdims=True) * (k / b)
@@ -139,7 +141,7 @@ class ClusterHead:
             self.prototypes.data.dtype, copy=False)
 
     def project(self, z: Tensor) -> Tensor:
-        p = self.fc2(gelu(self.fc1(z)))
+        p = self.fc2(self.fc1(z, gelu=True))
         norm = sqrt((p * p).sum(axis=-1, keepdims=True) + 1e-12)
         return p / norm
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, conv2d, conv_transpose2d, cross_entropy, gelu, no_grad
+from .autodiff import Tensor, conv2d, conv_transpose2d, cross_entropy, no_grad
 from .checkpoint import load_checkpoint, load_params, save_checkpoint
 from .config import ConfigFileError, FinetuneConfig, PretrainConfig
 from .data import DatasetReader, read_labels
@@ -30,7 +30,9 @@ class LightDecoder:
     Each "up" layer is a 2x2 transposed convolution at stride 2, computed as
     one matmul plus a pixel shuffle (``conv_transpose2d`` accepts only
     kernel size == stride). When the patch size needs fewer doublings, the
-    remaining layers are 3x3 "same" convolutions."""
+    remaining layers are 3x3 "same" convolutions. Each layer adds its bias
+    and applies GELU inside its convolution's tape node, and the head adds
+    its bias inside its own, so no pre-activation map is kept for backward."""
 
     def __init__(self, rng, width: int, patch: int, classes: int, dtype=np.float32):
         ups = decoder_upsamplings(patch)
@@ -68,12 +70,11 @@ class LightDecoder:
         x = grid
         for kind, w, b in self.layers:
             if kind == "up":
-                x = conv_transpose2d(x, w, stride=2)
+                x = conv_transpose2d(x, w, stride=2, bias=b, gelu=True)
             else:
-                x = conv2d(x, w, stride=1, padding=1)
-            x = gelu(x + b.reshape(1, b.shape[0], 1, 1))
+                x = conv2d(x, w, stride=1, padding=1, bias=b, gelu=True)
         w, b = self.final
-        return conv2d(x, w, stride=1, padding=0) + b.reshape(1, b.shape[0], 1, 1)
+        return conv2d(x, w, stride=1, padding=0, bias=b)
 
 
 class SegmentationModel:

@@ -83,13 +83,19 @@ def test_linear_shape_errors():
 
 @pytest.mark.parametrize("dtype, bound", [(np.float64, 2e-7), (np.float32, 1e-6)])
 def test_erf_matches_scipy(dtype, bound):
+    # the GELU kernel's erf, read back as erf(x/√2) = 2·GELU(x)/x − 1, and
+    # its derivative Φ(x) + x·φ(x)
     from scipy.special import erf
     x = np.linspace(-10.0, 10.0, 200_001).astype(dtype)
-    got, gauss = ad._erf(x)
-    assert got.dtype == gauss.dtype == dtype
-    assert np.abs(got - erf(x.astype(np.float64))).max() <= bound
-    assert np.abs(gauss - np.exp(-np.square(x.astype(np.float64)))).max() <= bound
-    assert np.array_equal(ad._erf(-x)[0], -got)     # odd
+    z = np.empty_like(x)
+    deriv = ad._gelu_into(z, x)
+    assert z.dtype == deriv.dtype == dtype
+    x64 = x.astype(np.float64)
+    nonzero = x != 0
+    got = 2.0 * z[nonzero] / x64[nonzero] - 1.0
+    assert np.abs(got - erf(x64[nonzero] * ad._INV_SQRT2)).max() <= bound
+    phi = 0.5 * (1.0 + erf(x64 * ad._INV_SQRT2))
+    assert np.abs(deriv - (phi + x64 * np.exp(-0.5 * x64 * x64) * ad._INV_SQRT2PI)).max() <= bound
 
 
 def test_getitem():
@@ -601,9 +607,16 @@ def attention_oracle(q, k, v, heads, bias):
     return out.swapaxes(-2, -3).reshape(out.shape[:-3] + (out.shape[-2], v.shape[-1]))
 
 
+def erf_oracle(x):
+    """A&S 7.1.26 as the textbook writes it: sign(x)·(1 − Σ a_k t^k e^(−x²))."""
+    t = 1.0 / (1.0 + ad._ERF_P * np.abs(x))
+    poly = sum(a * t ** k for k, a in enumerate(reversed(ad._ERF_A), start=1))
+    return np.sign(x) * (1.0 - poly * np.exp(-x * x))
+
+
 def gelu_oracle(x):
     xd = x.data
-    e = ad._erf(xd * ad._INV_SQRT2)[0]
+    e = erf_oracle(xd * ad._INV_SQRT2)
 
     def bwd(g):
         return (g * (0.5 * (1.0 + e) + xd * np.exp(-0.5 * xd * xd) * ad._INV_SQRT2PI),)
@@ -674,3 +687,99 @@ def test_attention_large_logits_stay_finite():
     out.sum().backward()
     assert np.isfinite(q.grad).all()
     assert np.allclose(out.data, attention_oracle(q, k, v, 2, None).data, rtol=1e-5, atol=1e-6)
+
+
+# -- bias + GELU epilogues against the composite ops -------------------------
+
+def channel_bias(b):
+    return b.reshape(1, b.shape[0], 1, 1)
+
+
+def shuffle_composite(x, k, s):
+    """conv_transpose2d as tape ops: one matmul, then a pixel shuffle."""
+    B, cin, H, W = x.shape
+    cout = k.shape[1]
+    cols = x.transpose((0, 2, 3, 1)).reshape(B * H * W, cin) @ k.reshape(cin, cout * s * s)
+    out = cols.reshape(B, H, W, cout, s, s).transpose((0, 3, 1, 4, 2, 5))
+    return out.reshape(B, cout, H * s, W * s)
+
+
+def maybe_gelu(x, gelu):
+    return ad.gelu(x) if gelu else x
+
+
+# name: (shapes of x, weight, bias; fused form; composite form)
+EPILOGUES = {
+    "linear": ([(2, 5, 8), (8, 6), (6,)],
+               lambda x, w, b, gelu: ad.linear(x, w, b, gelu=gelu),
+               lambda x, w, b, gelu: maybe_gelu(ad.linear(x, w, b), gelu)),
+    "conv2d_3x3": ([(2, 3, 5, 4), (4, 3, 3, 3), (4,)],
+                   lambda x, w, b, gelu: ad.conv2d(x, w, 1, 1, bias=b, gelu=gelu),
+                   lambda x, w, b, gelu: maybe_gelu(ad.conv2d(x, w, 1, 1) + channel_bias(b), gelu)),
+    "conv2d_1x1": ([(2, 3, 4, 5), (2, 3, 1, 1), (2,)],
+                   lambda x, w, b, gelu: ad.conv2d(x, w, 1, 0, bias=b, gelu=gelu),
+                   lambda x, w, b, gelu: maybe_gelu(ad.conv2d(x, w, 1, 0) + channel_bias(b), gelu)),
+    "conv_transpose2d": ([(2, 4, 3, 2), (4, 3, 2, 2), (3,)],
+                         lambda x, w, b, gelu: ad.conv_transpose2d(x, w, 2, bias=b, gelu=gelu),
+                         lambda x, w, b, gelu: maybe_gelu(shuffle_composite(x, w, 2)
+                                                          + channel_bias(b), gelu)),
+}
+
+
+def forward_backward(fn, arrays, seed):
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    weight = np.random.default_rng(seed).standard_normal(out.shape).astype(out.dtype)
+    (out * Tensor(weight)).sum().backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+def assert_bit_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", sorted(EPILOGUES))
+@pytest.mark.parametrize("gelu", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_epilogue_matches_composite_bit_for_bit(name, gelu, dtype):
+    shapes, fused, composite = EPILOGUES[name]
+    rng = np.random.default_rng(30)
+    arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+    got = forward_backward(lambda *t: fused(*t, gelu), arrays, 31)
+    assert_bit_equal(got, forward_backward(lambda *t: composite(*t, gelu), arrays, 31))
+    with ad.no_grad():
+        quiet = fused(*(Tensor(a) for a in arrays), gelu)
+        assert not quiet.requires_grad
+        assert quiet.data.tobytes() == composite(*(Tensor(a) for a in arrays), gelu).data.tobytes()
+    assert quiet.data.tobytes() == got[0].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_epilogue_on_zero_rows(dtype):
+    rng = np.random.default_rng(32)
+    arrays = [np.zeros((0, 8), dtype), rng.standard_normal((8, 6)).astype(dtype),
+              rng.standard_normal(6).astype(dtype)]
+    got = forward_backward(lambda x, w, b: ad.linear(x, w, b, gelu=True), arrays, 33)
+    assert got[0].shape == (0, 6) and not got[2].any() and not got[3].any()
+    assert_bit_equal(got, forward_backward(lambda x, w, b: ad.gelu(ad.linear(x, w, b)),
+                                           arrays, 33))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_on_a_0d_tensor_matches_under_no_grad(dtype):
+    for v in [0.3, -1.7, 0.0, 6.0]:
+        recorded = ad.gelu(Tensor(dtype(v), requires_grad=True))
+        with ad.no_grad():
+            quiet = ad.gelu(Tensor(dtype(v)))
+        assert quiet.shape == () and quiet.data.tobytes() == recorded.data.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(EPILOGUES))
+@pytest.mark.parametrize("gelu", [False, True])
+def test_epilogue_gradients(name, gelu):
+    shapes, fused, _ = EPILOGUES[name]
+    rng = np.random.default_rng(34)
+    leaves = [t64(rng, *s) for s in shapes]
+    weight = Tensor(rng.standard_normal(fused(*leaves, gelu).shape))
+    check(lambda x, w, b: (fused(x, w, b, gelu) * weight).sum(), *leaves)

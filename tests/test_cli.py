@@ -79,3 +79,17 @@ def test_flag_overrides_are_validated(tmp_path, command, flag, value):
     cfg.write_text(f"dataset = {tmp_path / 'missing.mmr'}\n")
     with pytest.raises(ConfigFileError, match=f"config key '{flag[2:]}': {value} "):
         main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), flag, value])
+
+
+def test_finetune_checks_out_before_training(tmp_path, monkeypatch):
+    # an --out that cannot be a directory fails before any run starts
+    def no_runs(*args, **kwargs):
+        raise AssertionError("finetune_runs was called")
+
+    monkeypatch.setattr("patchpos.cli.finetune_runs", no_runs)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset = {tmp_path / 'd.mmr'}\nlabels = {tmp_path / 'd.lbl'}\n")
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    with pytest.raises(FileExistsError):
+        main(["finetune", "--config", str(cfg), "--out", str(out)])

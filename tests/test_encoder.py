@@ -77,14 +77,14 @@ def tape_ops(out: Tensor) -> dict:
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_block_tape_is_fused(masked):
-    # One node per layernorm, projection, attention call, GELU and residual.
+    # One node per layernorm, projection, attention call and residual; GELU
+    # runs inside the MLP's first projection.
     rng = np.random.default_rng(7)
     block = Block(rng, width=16, heads=2, mlp_ratio=4)
     x = Tensor(rng.standard_normal((2, 6, 16)).astype(np.float32), requires_grad=True)
     gids = np.array([0, 0, 1, 1, 2, 2])
     bias = attention_mask_bias(gids, gids) if masked else None
-    assert tape_ops(block(x, bias)) == {"layernorm": 2, "linear": 6, "attention": 1,
-                                        "gelu": 1, "add": 2}
+    assert tape_ops(block(x, bias)) == {"layernorm": 2, "linear": 6, "attention": 1, "add": 2}
 
 
 def test_encoder_permutation_equivariance():
