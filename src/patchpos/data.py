@@ -14,6 +14,8 @@ Label files for segmentation share the idea:
 """
 from __future__ import annotations
 
+import operator
+import os
 import struct
 from dataclasses import dataclass
 
@@ -75,11 +77,11 @@ def write_dataset(path, samples: np.ndarray, channel_tags: list[str]):
 def read_header(f) -> DatasetHeader:
     magic = f.read(8)
     if magic != RASTER_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {RASTER_MAGIC!r}")
+        raise FormatError(f"{f.name}: bad magic {magic!r}, expected {RASTER_MAGIC!r}")
     cut = f"{f.name}: truncated header"
     version, count, C, H, W = struct.unpack("<IIIII", read_exact(f, 20, FormatError, cut))
     if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version}")
+        raise FormatError(f"{f.name}: unsupported format version {version}")
     tags = []
     for _ in range(C):
         (n,) = struct.unpack("<H", read_exact(f, 2, FormatError, cut))
@@ -89,21 +91,26 @@ def read_header(f) -> DatasetHeader:
 
 
 class DatasetReader:
-    """Memory-mapped reader yielding standardized samples."""
+    """Reader yielding standardized samples.
+
+    Nothing of the payload stays in the process between calls: ``sample``
+    opens the file, reads the channels it asks for into a fresh array with
+    positioned reads, and closes it again.
+    """
 
     def __init__(self, path):
         self.path = path
         with open(path, "rb") as f:
             self.header = read_header(f)
-            offset = f.tell()
+            self._offset = f.tell()
+            payload = os.fstat(f.fileno()).st_size - self._offset
         h = self.header
         if np.any(h.stds <= 0):
-            raise FormatError("non-positive channel std in header")
-        expected = h.count * h.channels * h.height * h.width
-        self._raw = np.memmap(path, dtype="<f4", mode="r", offset=offset)
-        if self._raw.size != expected:
-            raise FormatError(f"payload holds {self._raw.size} floats, expected {expected}")
-        self._raw = self._raw.reshape(h.count, h.channels, h.height, h.width)
+            raise FormatError(f"{path}: non-positive channel std in header")
+        self._plane = 4 * h.height * h.width             # bytes of one channel
+        expected = h.count * h.channels * self._plane
+        if payload != expected:
+            raise FormatError(f"{path}: payload holds {payload} bytes, expected {expected}")
         self._scale = (1.0 / h.stds).astype(np.float32)[:, None, None]
         self._shift = h.means.astype(np.float32)[:, None, None]
 
@@ -117,21 +124,33 @@ class DatasetReader:
     def sample(self, i: int, channels=None, standardize: bool = True) -> RasterImage:
         """Sample ``i``, standardized unless ``standardize`` is False.
 
-        ``channels``: indices of the channels to read, all by default. Only
-        those are sliced out of the file and standardized, and the image's
+        ``channels``: indices of the channels to read, all by default, in any
+        order and with repeats. Only those are read from the file (one read
+        per run of consecutive indices) and standardized, and the image's
         tags follow them. This is the one finiteness check a sample gets.
         """
-        tags = self.header.channel_tags
-        if channels is None or list(channels) == list(range(len(tags))):
-            x = np.asarray(self._raw[i], dtype=np.float32)
-            shift, scale = self._shift, self._scale
-        else:
-            x = np.asarray(self._raw[i, channels], dtype=np.float32)
-            shift, scale = self._shift[channels], self._scale[channels]
-            tags = [tags[c] for c in channels]
+        h, i = self.header, operator.index(i)     # a Python int: byte offsets never overflow
+        if not 0 <= i < h.count:
+            raise IndexError(f"{self.path}: sample {i} out of range for {h.count} samples")
+        chans = np.arange(h.channels) if channels is None else np.array(
+            [operator.index(c) for c in channels], dtype=np.intp)
+        if not np.all((chans >= 0) & (chans < h.channels)):
+            raise IndexError(f"{self.path}: channels {channels!r} not in [0, {h.channels})")
+        x = np.empty((len(chans), h.height, h.width), dtype="<f4")
+        starts = np.flatnonzero(np.diff(chans, prepend=-2) != 1)    # runs of c, c+1, ...
+        with open(self.path, "rb") as f:
+            for a, b in zip(starts, [*starts[1:], len(chans)]):
+                f.seek(self._offset + (i * h.channels + int(chans[a])) * self._plane)
+                if f.readinto(x[a:b]) != (b - a) * self._plane:
+                    raise FormatError(f"{self.path}: payload ends inside sample {i}; "
+                                      f"the file was shortened after it was opened")
+        x = x.astype(np.float32, copy=False)
         if standardize:
-            x = (x - shift) * scale
-        return RasterImage(x, list(tags))
+            x -= self._shift[chans]
+            x *= self._scale[chans]
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{self.path}: sample {i} contains non-finite values")
+        return RasterImage(x, [h.channel_tags[c] for c in chans], check_finite=False)
 
     def epoch_order(self, seed: int, epoch: int) -> np.ndarray:
         rng = np.random.default_rng([seed, 0xE9, epoch])
@@ -226,15 +245,17 @@ def read_labels(path) -> np.ndarray:
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != LABEL_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {LABEL_MAGIC!r}")
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {LABEL_MAGIC!r}")
         version, count, H, W = struct.unpack(
             "<IIII", read_exact(f, 16, FormatError, f"{path}: truncated header"))
         if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported format version {version}")
-        payload = np.frombuffer(f.read(), dtype=np.int8)
-    if payload.size != count * H * W:
-        raise FormatError("truncated label payload")
-    return payload.reshape(count, H, W).copy()
+            raise FormatError(f"{path}: unsupported format version {version}")
+        want = count * H * W
+        if os.fstat(f.fileno()).st_size - f.tell() == want:
+            labels = np.empty((count, H, W), dtype=np.int8)
+            if f.readinto(labels) == want:
+                return labels
+    raise FormatError(f"{path}: label payload is not the {want} bytes its header declares")
 
 
 def generate_synthetic_segmentation(image_path, label_path, count: int, height: int,

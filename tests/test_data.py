@@ -1,5 +1,6 @@
 """Binary dataset/label formats and the synthetic generator."""
 import os
+import struct
 import subprocess
 import sys
 
@@ -80,7 +81,7 @@ def test_standardization():
 def test_bad_magic_raises(tmp_path):
     path = tmp_path / "bad.mmr"
     path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
-    with pytest.raises(FormatError, match="magic"):
+    with pytest.raises(FormatError, match=r"bad\.mmr: bad magic"):
         DatasetReader(path)
 
 
@@ -89,7 +90,7 @@ def test_truncated_payload_raises(tmp_path):
     write_dataset(path, np.zeros((2, 1, 4, 4), dtype=np.float32), ["B2"])
     data = path.read_bytes()
     path.write_bytes(data[:-8])
-    with pytest.raises(FormatError, match="payload"):
+    with pytest.raises(FormatError, match=r"trunc\.mmr: payload holds 120 bytes, expected 128"):
         DatasetReader(path)
 
 
@@ -111,6 +112,149 @@ def test_truncated_label_header_raises(tmp_path, cut):
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(FormatError, match="trunc.lbl: truncated header"):
         read_labels(path)
+
+
+def _write_small(path, count=2, tags=("B2", "B3")):
+    """A small raster; returns the byte offset of its payload."""
+    samples = np.arange(count * len(tags) * 16, dtype=np.float32).reshape(count, len(tags), 4, 4)
+    write_dataset(path, samples, list(tags))
+    return os.path.getsize(path) - samples.nbytes
+
+
+def _patch(path, at, raw):
+    data = bytearray(path.read_bytes())
+    data[at:at + len(raw)] = raw
+    path.write_bytes(bytes(data))
+
+
+# Format errors name the file they are about (bad magic and a short payload:
+# the tests above). The raster header of `_write_small` is magic (8) + version
+# block (20) + two tags of 2 + 2 bytes, then the (mean, std) pairs from byte 36.
+RASTER_DAMAGE = {
+    "unsupported format version": lambda p: _patch(p, 8, struct.pack("<I", 7)),
+    "non-positive channel std": lambda p: _patch(p, 36 + 16 + 8, struct.pack("<d", 0.0)),
+}
+
+
+@pytest.mark.parametrize("what", sorted(RASTER_DAMAGE))
+def test_raster_format_errors_name_the_file(tmp_path, what):
+    path = tmp_path / "damaged.mmr"
+    _write_small(path)
+    RASTER_DAMAGE[what](path)
+    with pytest.raises(FormatError, match=what) as err:
+        DatasetReader(path)
+    assert str(path) in str(err.value)
+
+
+LABEL_DAMAGE = {
+    "version": (lambda p: _patch(p, 8, struct.pack("<I", 7)), "unsupported format version"),
+    "short": (lambda p: p.write_bytes(p.read_bytes()[:-1]), "label payload"),
+    "long": (lambda p: p.write_bytes(p.read_bytes() + b"\0"), "label payload"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LABEL_DAMAGE))
+def test_label_format_errors_name_the_file(tmp_path, case):
+    path = tmp_path / "damaged.lbl"
+    write_labels(path, np.zeros((2, 4, 4), dtype=np.int8))
+    damage, what = LABEL_DAMAGE[case]
+    damage(path)
+    with pytest.raises(FormatError, match=what) as err:
+        read_labels(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("i", [-1, 2, 10])
+def test_sample_index_out_of_range(tmp_path, i):
+    path = tmp_path / "d.mmr"
+    _write_small(path, count=2)
+    with pytest.raises(IndexError) as err:
+        DatasetReader(path).sample(i)
+    assert f"sample {i} out of range for 2 samples" in str(err.value)
+    assert str(path) in str(err.value)
+
+
+def test_sample_index_types(tmp_path):
+    path = tmp_path / "d.mmr"
+    _write_small(path, count=2)
+    r = DatasetReader(path)
+    assert np.array_equal(r.sample(np.int32(1)).data, r.sample(1).data)
+    with pytest.raises(TypeError):
+        r.sample(1.0)
+
+
+@pytest.mark.parametrize("channels, error", [([2], IndexError), ([0, -1], IndexError),
+                                             ([[0, 1]], TypeError), ([0.0], TypeError)])
+def test_sample_rejects_bad_channels(tmp_path, channels, error):
+    path = tmp_path / "d.mmr"
+    _write_small(path)
+    with pytest.raises(error):
+        DatasetReader(path).sample(0, channels)
+
+
+def test_payload_shortened_after_open(tmp_path):
+    path = tmp_path / "d.mmr"
+    _write_small(path, count=3)
+    reader = DatasetReader(path)
+    os.truncate(path, os.path.getsize(path) - 4)
+    assert np.array_equal(reader.sample(1, standardize=False).data.ravel(), np.arange(32, 64))
+    with pytest.raises(FormatError, match="payload ends inside sample 2") as err:
+        reader.sample(2)
+    assert str(path) in str(err.value)
+
+
+def test_non_finite_sample_names_file_and_index(tmp_path):
+    path = tmp_path / "d.mmr"
+    offset = _write_small(path, count=3)
+    _patch(path, offset + 4 * (32 + 21), struct.pack("<f", np.inf))     # sample 1
+    reader = DatasetReader(path)
+    reader.sample(0), reader.sample(2)
+    for channels in (None, [1]):
+        with pytest.raises(ValueError, match="sample 1 contains non-finite") as err:
+            reader.sample(1, channels)
+        assert str(path) in str(err.value)
+    assert reader.sample(1, [0]).data.shape == (1, 4, 4)     # the damaged channel is unread
+
+
+# channel lists as callers may pass them: consecutive runs, gaps, any order,
+# repeats; each is compared with a plain read of the whole payload
+@settings(max_examples=60)
+@given(samples=st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4),
+                         st.integers(1, 4)).flatmap(lambda shape: arrays(
+                             np.float32, shape, elements=st.floats(-1e6, 1e6, width=32))),
+       data=st.data())
+def test_sample_matches_whole_payload_read(tmp_path_factory, samples, data):
+    path = tmp_path_factory.mktemp("raster") / "d.mmr"
+    write_dataset(path, samples, ALL_BANDS[:samples.shape[1]])
+    r = DatasetReader(path)
+    count, C = samples.shape[:2]
+    payload = np.fromfile(path, dtype="<f4", offset=os.path.getsize(path) - samples.nbytes)
+    payload = payload.reshape(samples.shape)
+    shift = r.header.means.astype(np.float32)[:, None, None]
+    scale = (1.0 / r.header.stds).astype(np.float32)[:, None, None]
+    i = data.draw(st.integers(0, count - 1))
+    channels = data.draw(st.none() | st.lists(st.integers(0, C - 1), min_size=1, max_size=2 * C))
+    standardize = data.draw(st.booleans())
+    idx = list(range(C)) if channels is None else channels
+    want = payload[i, idx]
+    if standardize:
+        want = (want - shift[idx]) * scale[idx]
+    got = r.sample(i, channels, standardize)
+    assert got.data.dtype == np.float32 and got.data.shape == want.shape
+    assert got.data.tobytes() == want.astype(np.float32).tobytes()
+    assert got.channel_tags == [ALL_BANDS[c] for c in idx]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_reading_leaves_no_mapping_of_the_file(tmp_path):
+    path = tmp_path / "mapped.mmr"
+    generate_synthetic_dataset(path, 4, 32, 32, ALL_BANDS, seed=0)
+    reader = DatasetReader(path)
+    best = [0, 1, 2, 3, 6, 8, 11, *range(13, 20), 21]     # the `best` grouping's channels
+    images = [reader.sample(i, channels) for i in range(len(reader)) for channels in (None, best)]
+    assert len(images) == 8
+    with open("/proc/self/maps") as maps:
+        assert os.path.realpath(path) not in maps.read()
 
 
 def test_import_leaves_scipy_unloaded():
@@ -196,7 +340,7 @@ def test_labels_roundtrip(tmp_path):
 def test_labels_bad_magic(tmp_path):
     path = tmp_path / "bad.lbl"
     path.write_bytes(b"WRONG!!\0" + b"\0" * 16)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"bad\.lbl: bad magic"):
         read_labels(path)
 
 
