@@ -560,14 +560,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                   backward=bwd)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate is 0."""
-    if rate <= 0.0:
-        return x
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
-    return x * Tensor(keep)
-
-
 # -- convolutions ------------------------------------------------------------
 
 def _channel_bias_grad(g: np.ndarray, bias: Tensor) -> np.ndarray:

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import data
 from .config import FinetuneConfig, PretrainConfig
-from .segmenter import (finetune_runs, iou_miou, load_finetuned, predict, read_images,
-                        save_finetuned, write_pgm)
+from .segmenter import (check_labels, finetune_runs, iou_miou, load_finetuned, predict,
+                        read_images, save_finetuned, write_pgm)
 from .train import pretrain
 from .views import (RasterImage, compute_correspondence, sample_query_views,
                     sample_reference_view)
@@ -72,11 +72,12 @@ def cmd_finetune(args):
 
 def cmd_eval(args):
     reader = data.DatasetReader(args.dataset)
-    labels = data.read_labels(args.labels)
     model = load_finetuned(args.checkpoint, reader.channel_tags)
+    labels = data.read_labels(args.labels)
+    check_labels(labels, model.classes, args.labels)
     images = read_images(reader, range(len(reader)), model)
     masks = predict(model, images)
-    per_class, miou = iou_miou(masks, labels, model.classes, args.ignore_label)
+    per_class, miou = iou_miou(masks, labels, model.classes)
     for c, iou in enumerate(per_class):
         if not np.isnan(iou):
             print(f"iou_class{c}={iou:.4f}")
@@ -141,7 +142,6 @@ def main(argv=None):
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--ignore-label", type=int, default=-1)
     p.add_argument("--dump-pgm", default=None, help="directory for predicted-mask PGMs")
     p.set_defaults(func=cmd_eval)
 

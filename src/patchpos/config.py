@@ -59,7 +59,6 @@ _BOOL = {"true": True, "1": True, "yes": True, "on": True,
 
 POSITIVE_INT = Domain(int, "an integer >= 1", lambda v: v >= 1)
 NON_NEGATIVE_INT = Domain(int, "an integer >= 0", lambda v: v >= 0)
-INT = Domain(int, "an integer")
 POSITIVE = Domain(float, "a finite number > 0", lambda v: 0 < v < math.inf)
 NON_NEGATIVE = Domain(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
 FRACTION = Domain(float, "a number in [0, 1]", lambda v: 0 <= v <= 1)
@@ -111,12 +110,23 @@ class _Config:
                 raise ConfigFileError(f"config key '{name}': a path is required, got ''")
 
     @classmethod
-    def from_file(cls, path):
-        mapping, fields = parse_kv_file(path), {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(mapping) - set(fields)
+    def from_dict(cls, mapping: dict, source):
+        """The config that ``mapping`` (key -> value) holds, as read from the
+        file ``source``: a key that is not in the config, or a value outside
+        its key's domain, raises ConfigFileError naming the file."""
+        unknown = set(mapping) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
-            raise ConfigFileError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{k: fields[k].metadata["domain"].parse(k, v) for k, v in mapping.items()})
+            raise ConfigFileError(f"'{source}': unknown config keys: {sorted(unknown)}")
+        try:
+            return cls(**mapping)
+        except ConfigFileError as e:
+            raise ConfigFileError(f"'{source}': {e}") from e
+
+    @classmethod
+    def from_file(cls, path):
+        domains = {f.name: f.metadata["domain"] for f in dataclasses.fields(cls)}
+        return cls.from_dict({k: domains[k].parse(k, v) if k in domains else v
+                              for k, v in parse_kv_file(path).items()}, path)
 
 
 @dataclass
@@ -145,7 +155,6 @@ class PretrainConfig(_Config):
     # cluster objective
     cluster_loss: bool = key(True, BOOL)
     num_prototypes: int = key(256, POSITIVE_INT)
-    proto_dim: int = key(0, NON_NEGATIVE_INT)          # 0 -> encoder width
     lambda_me: float = key(1.0, NON_NEGATIVE)
     tau: float = key(0.05, POSITIVE)
     sinkhorn_iters: int = key(3, NON_NEGATIVE_INT)
@@ -154,18 +163,13 @@ class PretrainConfig(_Config):
     width: int = key(64, POSITIVE_INT)
     heads: int = key(4, POSITIVE_INT)
     mlp_ratio: int = key(4, POSITIVE_INT)
-    # optimizer (paper recipe scalars; warmup/betas/clip/dropout are ours)
+    # optimizer (paper recipe scalars; the warmup is ours)
     lr: float = key(6.25e-5, POSITIVE)
     weight_decay: float = key(0.1, NON_NEGATIVE)
-    beta1: float = key(0.9, PROPER_FRACTION)
-    beta2: float = key(0.999, PROPER_FRACTION)
     warmup_frac: float = key(0.05, FRACTION)
-    grad_clip: float = key(0.0, NON_NEGATIVE)           # 0 -> no clipping
-    dropout: float = key(0.0, PROPER_FRACTION)
     # harness
     log_every: int = key(1, POSITIVE_INT)
     checkpoint_every_epochs: int = key(1, POSITIVE_INT)
-    noise_reference: bool = key(False, BOOL)   # debug: replace reference pixels with noise
 
     def rules(self):
         for a, b in [("h_ref", "patch_size"), ("h_q", "patch_size"), ("width", "heads")]:
@@ -196,7 +200,6 @@ class FinetuneConfig(_Config):
     labels: str = key("", TEXT)
     checkpoint: str = key("", TEXT)        # pretrained weights; empty -> random init
     classes: int = key(2, POSITIVE_INT)
-    ignore_label: int = key(-1, INT)
     seed: int = key(0, NON_NEGATIVE_INT)
     steps: int = key(300, POSITIVE_INT)
     batch_size: int = key(8, POSITIVE_INT)

@@ -10,7 +10,7 @@ File layout (little-endian):
 Label files for segmentation share the idea:
   magic   8 bytes  ``MMLABL1\\0``
   header  <IIII    version, count, H, W
-  payload count * H * W int8 (-1 = ignore)
+  payload count * H * W int8 (IGNORE_LABEL = -1 marks a pixel with no class)
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from .views import RasterImage
 RASTER_MAGIC = b"MMRAST1\0"
 LABEL_MAGIC = b"MMLABL1\0"
 FORMAT_VERSION = 1
+IGNORE_LABEL = -1       # the label of a pixel that neither the loss nor the IoU counts
 
 # Appendix band codes: 13 Sentinel-2 bands, 8 Sentinel-1 channels, DEM.
 S2_BANDS = ["B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8", "B8A", "B9", "B10", "B11", "B12"]

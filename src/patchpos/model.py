@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, dropout
+from .autodiff import Tensor
 from .config import PretrainConfig
 from .encoder import Backbone, CrossAttentionBlock
 from .groups import GroupedTokens, draw_groups, sample_groups  # noqa: F401
@@ -29,8 +29,7 @@ class PretrainModel:
         self.pos_head = PositionHead(rng, cfg.width, cfg.n_ref, dtype=dtype)
         self.cluster: ClusterHead | None = None
         if cfg.cluster_loss:
-            self.cluster = ClusterHead(rng, cfg.width, cfg.num_prototypes,
-                                       proto_dim=cfg.proto_dim or None, tau=cfg.tau,
+            self.cluster = ClusterHead(rng, cfg.width, cfg.num_prototypes, tau=cfg.tau,
                                        dtype=dtype)
 
     # -- parameter plumbing --------------------------------------------------
@@ -92,8 +91,6 @@ class PretrainModel:
         if cfg.group_sampling and g > 1:
             choice = draw_groups(g, patches.shape[:-3], rng)
         t = self.backbone.embed(patches, grid, grid, choice)
-        if cfg.dropout > 0:
-            t = GroupedTokens(dropout(t.tokens, cfg.dropout, rng), t.group_ids, t.position_ids)
         z = self.backbone.encoder(t, cfg.same_group_masking)
         return GroupedTokens(z, t.group_ids, t.position_ids)
 

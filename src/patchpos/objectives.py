@@ -121,13 +121,12 @@ class ClusterHead:
     every optimizer step via :meth:`renormalize_prototypes`.
     """
 
-    def __init__(self, rng, width: int, num_prototypes: int, proto_dim: int | None = None,
-                 tau: float = 0.05, dtype=np.float32):
+    def __init__(self, rng, width: int, num_prototypes: int, tau: float = 0.05,
+                 dtype=np.float32):
         self.tau = tau
-        self.proto_dim = proto_dim or width
         self.fc1 = Linear(rng, width, 2 * width, dtype=dtype)
-        self.fc2 = Linear(rng, 2 * width, self.proto_dim, dtype=dtype)
-        protos = rng.standard_normal((num_prototypes, self.proto_dim))
+        self.fc2 = Linear(rng, 2 * width, width, dtype=dtype)
+        protos = rng.standard_normal((num_prototypes, width))
         protos /= np.linalg.norm(protos, axis=1, keepdims=True)
         self.prototypes = Tensor(protos.astype(dtype), requires_grad=True)
 

@@ -7,6 +7,8 @@ import numpy as np
 
 from .autodiff import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8    # Adam's moment decays and denominator guard
+
 
 class GradientError(RuntimeError):
     """Raised when a non-finite gradient reaches the optimizer."""
@@ -15,13 +17,10 @@ class GradientError(RuntimeError):
 class AdamW:
     """Decoupled-weight-decay Adam over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.1,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.1):
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -33,7 +32,6 @@ class AdamW:
     def step(self, lr: float | None = None):
         if lr is None:
             lr = self.lr
-        b1, b2 = self.betas
         self.step_count += 1
         t = self.step_count
         for name, p in self.params.items():
@@ -44,13 +42,13 @@ class AdamW:
                 raise GradientError(f"non-finite gradient in parameter '{name}' at step {t}")
             m = self.m[name]
             v = self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** t)
-            vhat = v / (1 - b2 ** t)
-            update = mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p.data
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * g * g
+            mhat = m / (1 - BETA1 ** t)
+            vhat = v / (1 - BETA2 ** t)
+            update = mhat / (np.sqrt(vhat) + EPS) + self.weight_decay * p.data
             p.data = (p.data - lr * update).astype(p.data.dtype, copy=False)
 
     def state_dict(self) -> dict:

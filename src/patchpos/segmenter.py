@@ -6,9 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, conv2d, conv_transpose2d, cross_entropy, no_grad
-from .checkpoint import load_checkpoint, load_params, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, load_params, save_checkpoint
 from .config import ConfigFileError, FinetuneConfig, PretrainConfig
-from .data import DatasetReader, read_labels
+from .data import IGNORE_LABEL, DatasetReader, read_labels
 from .encoder import Backbone
 from .optim import AdamW, cosine_lr
 from .views import patchify
@@ -108,10 +108,10 @@ class SegmentationModel:
         return self.decoder(grid)
 
 
-def pixel_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_label: int = -1) -> Tensor:
-    """Mean cross-entropy over non-ignored pixels, on the (B, K, H, W)
-    logits as they are: an ignored pixel weighs 0."""
-    valid = labels != ignore_label
+def pixel_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy over the pixels not labeled IGNORE_LABEL, on the
+    (B, K, H, W) logits as they are: an ignored pixel weighs 0."""
+    valid = labels != IGNORE_LABEL
     n_valid = int(valid.sum())
     if n_valid == 0:
         return Tensor(np.zeros((), dtype=logits.dtype))
@@ -122,45 +122,37 @@ def pixel_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_label: int = 
 
 # -- metrics ----------------------------------------------------------------
 
-class ConfusionMatrix:
-    """classes x classes pixel counts; ignore-labeled pixels are excluded."""
-
-    def __init__(self, classes: int, ignore_label: int = -1):
-        self.classes = classes
-        self.ignore_label = ignore_label
-        self.counts = np.zeros((classes, classes), dtype=np.int64)
-
-    def update(self, pred: np.ndarray, truth: np.ndarray):
-        if pred.shape != truth.shape:
-            raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
-        keep = truth != self.ignore_label
-        p = pred[keep].astype(np.int64)
-        t = truth[keep].astype(np.int64)
-        idx = t * self.classes + p
-        self.counts += np.bincount(idx, minlength=self.classes ** 2).reshape(
-            self.classes, self.classes)
-
-    def iou(self) -> tuple[np.ndarray, float | None]:
-        """Per-class IoU (nan where a class is absent from the truth) and the
-        unweighted mean over classes present in the truth."""
-        tp = np.diag(self.counts).astype(np.float64)
-        fn = self.counts.sum(axis=1) - tp
-        fp = self.counts.sum(axis=0) - tp
-        denom = tp + fp + fn
-        present = self.counts.sum(axis=1) > 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            iou = np.where(denom > 0, tp / np.maximum(denom, 1), np.nan)
-        iou = np.where(present, iou, np.nan)
-        if not present.any():
-            return iou, None
-        return iou, float(np.nanmean(iou[present]))
+def check_labels(labels: np.ndarray, classes: int, path) -> None:
+    """Every label in the file ``path`` is IGNORE_LABEL or a class in
+    [0, ``classes``), or ConfigFileError names the first that is not."""
+    bad = (labels < IGNORE_LABEL) | (labels >= classes)
+    if bad.any():
+        raise ConfigFileError(f"config key 'classes' ({classes}): labels file '{path}' holds "
+                              f"label {int(labels[bad][0])}, which is neither {IGNORE_LABEL} "
+                              f"(ignore) nor a class in [0, {classes})")
 
 
-def iou_miou(pred: np.ndarray, truth: np.ndarray, classes: int,
-             ignore_label: int = -1) -> tuple[np.ndarray, float | None]:
-    cm = ConfusionMatrix(classes, ignore_label)
-    cm.update(pred, truth)
-    return cm.iou()
+def iou_miou(pred: np.ndarray, truth: np.ndarray, classes: int
+             ) -> tuple[np.ndarray, float | None]:
+    """Per-class IoU over the pixels not labeled IGNORE_LABEL (nan where a
+    class is absent from the truth) and the unweighted mean over the classes
+    present in the truth, None when there is none."""
+    if pred.shape != truth.shape:
+        raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
+    keep = truth != IGNORE_LABEL
+    idx = truth[keep].astype(np.int64) * classes + pred[keep].astype(np.int64)
+    counts = np.bincount(idx, minlength=classes ** 2).reshape(classes, classes)
+    tp = np.diag(counts).astype(np.float64)
+    fn = counts.sum(axis=1) - tp
+    fp = counts.sum(axis=0) - tp
+    denom = tp + fp + fn
+    present = counts.sum(axis=1) > 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        iou = np.where(denom > 0, tp / np.maximum(denom, 1), np.nan)
+    iou = np.where(present, iou, np.nan)
+    if not present.any():
+        return iou, None
+    return iou, float(np.nanmean(iou[present]))
 
 
 # -- finetuning --------------------------------------------------------------
@@ -188,8 +180,16 @@ def predict(model: SegmentationModel, images: np.ndarray, batch: int = 8) -> np.
 
 
 def evaluate(model: SegmentationModel, images: np.ndarray, labels: np.ndarray,
-             ignore_label: int = -1, batch: int = 8):
-    return iou_miou(predict(model, images, batch), labels, model.classes, ignore_label)
+             batch: int = 8):
+    return iou_miou(predict(model, images, batch), labels, model.classes)
+
+
+def _stored_config(meta: dict, path) -> PretrainConfig:
+    """The pretraining config that the checkpoint at ``path`` was written
+    under, checked like a config file's."""
+    if not isinstance(meta.get("config"), dict):
+        raise CheckpointError(f"'{path}' stores no model config")
+    return PretrainConfig.from_dict(meta["config"], path)
 
 
 def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
@@ -202,12 +202,13 @@ def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
     if cfg.checkpoint:
         ckpt_arrays, ckpt_meta = load_checkpoint(cfg.checkpoint)
         if pretrain_cfg is None:
-            pretrain_cfg = PretrainConfig(**ckpt_meta["config"])
+            pretrain_cfg = _stored_config(ckpt_meta, cfg.checkpoint)
     if pretrain_cfg is None:
         raise ValueError("finetuning needs either a checkpoint or an explicit model config")
     decoder_upsamplings(pretrain_cfg.patch_size)
     reader = DatasetReader(cfg.dataset)
     labels = read_labels(cfg.labels)
+    check_labels(labels, cfg.classes, cfg.labels)
     if len(labels) != len(reader):
         raise ValueError(f"{len(reader)} images but {len(labels)} label maps")
 
@@ -238,14 +239,14 @@ def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
     for step in range(cfg.steps):
         ids = rng.integers(0, len(train_x), size=cfg.batch_size)
         logits = model.forward(train_x[ids])
-        loss = pixel_cross_entropy(logits, train_y[ids], cfg.ignore_label)
+        loss = pixel_cross_entropy(logits, train_y[ids])
         opt.zero_grad()
         loss.backward()
         opt.step(lr=cosine_lr(step, cfg.steps, cfg.lr, warmup))
         if (step + 1) % cfg.eval_every == 0:
             line = f"step={step + 1} train_loss={float(loss.data):.6f}"
             if val_x is not None:
-                _, vm = evaluate(model, val_x, val_y, cfg.ignore_label)
+                _, vm = evaluate(model, val_x, val_y)
                 line += f" val_miou={'none' if vm is None else f'{vm:.4f}'}"
                 if (miou_threshold is not None and steps_to_threshold is None
                         and vm is not None and vm >= miou_threshold):
@@ -253,11 +254,11 @@ def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
             if log_stream is not None:
                 print(line, file=log_stream)
 
-    _, train_miou = evaluate(model, train_x, train_y, cfg.ignore_label)
+    _, train_miou = evaluate(model, train_x, train_y)
     if val_x is not None:
-        per_class, miou = evaluate(model, val_x, val_y, cfg.ignore_label)
+        per_class, miou = evaluate(model, val_x, val_y)
     else:
-        per_class, miou = evaluate(model, train_x, train_y, cfg.ignore_label)
+        per_class, miou = evaluate(model, train_x, train_y)
     return FinetuneResult(miou, per_class, train_miou, steps_to_threshold, model)
 
 
@@ -278,7 +279,7 @@ def save_finetuned(path, model: SegmentationModel, cfg: FinetuneConfig):
 
 def load_finetuned(path, channel_tags: list[str]) -> SegmentationModel:
     arrays, meta = load_checkpoint(path)
-    pcfg = PretrainConfig(**meta["config"])
+    pcfg = _stored_config(meta, path)
     model = SegmentationModel(pcfg, channel_tags, int(meta["classes"]),
                               same_group_masking=bool(meta["same_group_masking"]))
     load_params(model.params(), arrays, path)

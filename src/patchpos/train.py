@@ -32,21 +32,6 @@ def step_rng(seed: int, global_step: int) -> np.random.Generator:
     return np.random.default_rng([seed, 0x57E9, global_step])
 
 
-def clip_gradients(params, max_norm: float):
-    if max_norm <= 0:
-        return
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = math.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for p in params.values():
-            if p.grad is not None:
-                p.grad = p.grad * scale
-
-
 def save_run_checkpoint(path, model: PretrainModel, opt: AdamW, global_step: int,
                         epoch: int) -> None:
     arrays = {f"param/{k}": v for k, v in model.export_arrays().items()}
@@ -103,8 +88,7 @@ def pretrain(cfg: PretrainConfig, out_dir: str, resume: str | None = None,
     # so an interrupted-then-resumed run matches an uninterrupted one.
     stop_step = total_steps if max_steps is None else min(total_steps, max_steps)
     warmup = int(round(cfg.warmup_frac * total_steps))
-    opt = AdamW(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay,
-                betas=(cfg.beta1, cfg.beta2))
+    opt = AdamW(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     start_step = 0
     if resume:
@@ -128,14 +112,11 @@ def pretrain(cfg: PretrainConfig, out_dir: str, resume: str | None = None,
                 batch_ids = order[i * cfg.batch_size:(i + 1) * cfg.batch_size]
                 images = [reader.sample(int(j), model.backbone.setting.channels) for j in batch_ids]
                 rng = step_rng(cfg.seed, global_step)
-                noise_rng = (np.random.default_rng([cfg.seed, 0xBAD, global_step])
-                             if cfg.noise_reference else None)
-                loss, report = model.forward_step(images, rng, noise_rng)
+                loss, report = model.forward_step(images, rng)
                 if not math.isfinite(report.combined):
                     raise _aborted(f"non-finite loss at step {global_step}", ckpt_path)
                 opt.zero_grad()
                 loss.backward()
-                clip_gradients(opt.params, cfg.grad_clip)
                 lr = cosine_lr(global_step, total_steps, cfg.lr, warmup)
                 try:
                     opt.step(lr=lr)

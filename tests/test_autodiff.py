@@ -380,16 +380,6 @@ def test_conv_transpose_matches_adjoint():
     assert np.isclose((fwd * y).sum(), (x * adj).sum(), rtol=1e-10)
 
 
-def test_dropout():
-    rng = np.random.default_rng(17)
-    x = Tensor(np.ones((1000,)), requires_grad=True)
-    out = ad.dropout(x, 0.5, np.random.default_rng(0))
-    kept = out.data != 0
-    assert 0.4 < kept.mean() < 0.6
-    assert np.allclose(out.data[kept], 2.0)
-    assert ad.dropout(x, 0.0, rng) is x
-
-
 def test_grad_accumulates_over_reuse():
     a = Tensor(np.array([2.0]), requires_grad=True)
     ((a * a) + a * 3.0).sum().backward()

@@ -1,11 +1,14 @@
 """End-to-end CLI subcommands through main(argv)."""
+import re
+
 import numpy as np
 import pytest
 
 from patchpos.cli import main
-from patchpos.config import ConfigFileError
-from patchpos.data import DatasetReader, read_labels
-from patchpos.segmenter import iou_miou, load_finetuned, read_images
+from patchpos.config import ConfigFileError, FinetuneConfig, PretrainConfig
+from patchpos.data import DatasetReader, generate_synthetic_segmentation, read_labels, write_labels
+from patchpos.segmenter import (SegmentationModel, iou_miou, load_finetuned, read_images,
+                                save_finetuned)
 
 
 def test_gen_data_and_inspect(tmp_path, capsys):
@@ -93,3 +96,26 @@ def test_finetune_checks_out_before_training(tmp_path, monkeypatch):
     out.write_text("a file, not a directory\n")
     with pytest.raises(FileExistsError):
         main(["finetune", "--config", str(cfg), "--out", str(out)])
+
+
+def test_eval_has_no_ignore_label_flag(capsys):
+    # -1 is the label format's one ignore value
+    with pytest.raises(SystemExit):
+        main(["eval", "--checkpoint", "m.ckpt", "--dataset", "d.mmr", "--labels", "d.lbl",
+              "--ignore-label", "0"])
+    assert "unrecognized arguments: --ignore-label 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [2, -2])
+def test_eval_rejects_labels_outside_the_classes(tmp_path, bad):
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 4, 32, 32, ["B2"], 0)
+    labels = read_labels(lbl)
+    labels[3, 0, 0] = bad
+    write_labels(lbl, labels)
+    model = SegmentationModel(PretrainConfig(depth=1, width=16, heads=2), ["B2"], 2)
+    ckpt = tmp_path / "ft.ckpt"
+    save_finetuned(ckpt, model, FinetuneConfig())
+    with pytest.raises(ConfigFileError, match=re.escape(
+            f"config key 'classes' (2): labels file '{lbl}' holds label {bad}")):
+        main(["eval", "--checkpoint", str(ckpt), "--dataset", str(img), "--labels", str(lbl)])

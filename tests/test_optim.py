@@ -12,7 +12,7 @@ def test_first_step_matches_hand_derivation():
     # With zero state, one step moves by lr * (g/(|g|+eps) + wd*p).
     p = Tensor(np.array([1.0, -2.0], dtype=np.float64), requires_grad=True)
     p.grad = np.array([0.5, -0.25])
-    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.01, betas=(0.9, 0.999), eps=1e-8)
+    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.01)
     opt.step()
     expected = np.array([1.0, -2.0]) - 0.1 * (
         np.array([0.5, -0.25]) / (np.abs([0.5, -0.25]) + 1e-8)

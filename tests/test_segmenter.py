@@ -7,13 +7,14 @@ import pytest
 
 from patchpos import segmenter
 from patchpos.autodiff import Tensor, conv_transpose2d, cross_entropy_from_logits, no_grad
-from patchpos.checkpoint import CheckpointError
+from patchpos.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from patchpos.config import ConfigFileError, FinetuneConfig, PretrainConfig
-from patchpos.data import ALL_BANDS, DatasetReader, generate_synthetic_segmentation, read_labels
+from patchpos.data import (ALL_BANDS, DatasetReader, generate_synthetic_segmentation,
+                           read_labels, write_labels)
 from patchpos.model import PretrainModel
 from patchpos.optim import AdamW
 from patchpos.train import save_run_checkpoint
-from patchpos.segmenter import (ConfusionMatrix, LightDecoder, SegmentationModel,
+from patchpos.segmenter import (LightDecoder, SegmentationModel,
                                 evaluate, finetune, iou_miou, load_finetuned,
                                 pixel_cross_entropy, save_finetuned, write_pgm)
 
@@ -162,13 +163,14 @@ def test_iou_all_ignored_returns_none():
     assert np.all(np.isnan(iou))
 
 
-def test_confusion_matrix_accumulates():
-    cm = ConfusionMatrix(2)
-    cm.update(np.array([0, 1]), np.array([0, 0]))
-    cm.update(np.array([1, 1]), np.array([1, -1]))
-    assert np.array_equal(cm.counts, [[1, 1], [0, 1]])
-    with pytest.raises(ValueError):
-        cm.update(np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64))
+def test_iou_excludes_ignored_pixels():
+    pred, truth = np.array([0, 1, 1, 1]), np.array([0, 0, 1, -1])
+    iou, miou = iou_miou(pred, truth, classes=2)
+    # the last pixel is ignored: each class has 1 hit in a union of 2
+    assert np.array_equal(iou, [0.5, 0.5]) and miou == 0.5
+    assert np.array_equal(iou, iou_miou(pred[:3], truth[:3], classes=2)[0])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        iou_miou(np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64), classes=2)
 
 
 def test_finetune_end_to_end(tmp_path):
@@ -341,3 +343,47 @@ def test_write_pgm(tmp_path):
     data = p.read_bytes()
     assert data.startswith(b"P5\n2 2\n255\n")
     assert data[-4:] == bytes([0, 255, 255, 0])
+
+
+@pytest.mark.parametrize("kind", ["pretrained", "finetuned"])
+@pytest.mark.parametrize("change, error, message", [
+    # checkpoints written before a key was removed store it
+    (lambda meta: meta["config"].update(dropout=0.0), ConfigFileError,
+     "'{ckpt}': unknown config keys: ['dropout']"),
+    (lambda meta: meta.pop("config"), CheckpointError, "'{ckpt}' stores no model config"),
+], ids=["removed_key", "no_config"])
+def test_stored_config_is_checked_naming_the_file(tmp_path, kind, change, error, message):
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 4, 32, 32, ["B2", "B3"], 0)
+    pcfg = PretrainConfig(depth=1, width=16, heads=2, h_ref=32, h_q=16)
+    ckpt = tmp_path / f"{kind}.ckpt"
+    fcfg = FinetuneConfig(dataset=str(img), labels=str(lbl), checkpoint=str(ckpt), steps=1,
+                          batch_size=2)
+    if kind == "pretrained":
+        pretraining_checkpoint(ckpt, pcfg, ["B2", "B3"])
+        load = lambda: finetune(fcfg, seed=0)
+    else:
+        save_finetuned(ckpt, SegmentationModel(pcfg, ["B2", "B3"], 2), fcfg)
+        load = lambda: load_finetuned(ckpt, ["B2", "B3"])
+    load()
+    arrays, meta = load_checkpoint(ckpt)
+    change(meta)
+    save_checkpoint(ckpt, arrays, meta)
+    with pytest.raises(error, match=re.escape(message.format(ckpt=ckpt))):
+        load()
+
+
+@pytest.mark.parametrize("bad", [2, -2])
+def test_finetune_rejects_labels_outside_the_classes(tmp_path, bad):
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 4, 32, 32, ["B2"], 0)
+    labels = read_labels(lbl)
+    labels[1, 5, 7] = bad
+    write_labels(lbl, labels)
+    fcfg = FinetuneConfig(dataset=str(img), labels=str(lbl), steps=1, batch_size=2)
+    pcfg = PretrainConfig(depth=1, width=16, heads=2)
+    with pytest.raises(ConfigFileError, match=re.escape(
+            f"config key 'classes' (2): labels file '{lbl}' holds label {bad}")):
+        finetune(fcfg, pretrain_cfg=pcfg)
+    if bad == 2:    # a third class makes the same labels valid
+        finetune(FinetuneConfig(**{**fcfg.to_dict(), "classes": 3}), pretrain_cfg=pcfg)
