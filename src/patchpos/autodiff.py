@@ -407,38 +407,19 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def logsumexp_lastdim(x: Tensor) -> Tensor:
-    m = x.data.max(axis=-1, keepdims=True)
-    return log(exp(x - Tensor(m)).sum(axis=-1, keepdims=True)) + Tensor(m)
-
-
-def log_softmax_lastdim(x: Tensor) -> Tensor:
-    return x - logsumexp_lastdim(x)
-
-
-def cross_entropy_from_logits(logits: Tensor, target_index) -> Tensor:
-    """-log softmax(logits)[target]; ``target_index`` may be an index array
-    of shape logits.shape[:-1], or a single int for 1-d logits."""
-    idx = np.asarray(target_index)
-    if idx.ndim == 0:
-        idx = idx.reshape((1,) * (logits.ndim - 1))
-        idx = np.broadcast_to(idx, logits.shape[:-1])
-    lse = logsumexp_lastdim(logits)[..., 0]
-    return lse - logits[(*np.indices(idx.shape, sparse=True), idx)]
-
-
 def cross_entropy(logits: Tensor, targets, axis: int = -1, weights=None) -> Tensor:
     """Per-position -log softmax(logits)[target] along ``axis``, times
     ``weights`` when given, as one tape node.
 
     ``targets`` (and ``weights``) have the shape of ``logits`` without
     ``axis``, and so does the result. The values and gradients equal those
-    of ``cross_entropy_from_logits`` (times the weights) bit for bit when
-    ``axis`` is last or the axis is shorter than 8, where numpy sums the
-    exponentials in the same order: forward is log(Σ exp(x−m)) + m − x[t],
-    backward e·((g·w)/Σe) with g·w subtracted at the target. The gradient is
-    laid out with ``axis`` last in memory, as the composite's transpose
-    leaves it, so reductions over it downstream add in the same order.
+    of the composite log-sum-exp minus the target logit (times the weights;
+    ``tests/reference.py``) bit for bit when ``axis`` is last or the axis is
+    shorter than 8, where numpy sums the exponentials in the same order:
+    forward is log(Σ exp(x−m)) + m − x[t], backward e·((g·w)/Σe) with g·w
+    subtracted at the target. The gradient is laid out with ``axis`` last in
+    memory, as the composite's transpose leaves it, so reductions over it
+    downstream add in the same order.
     """
     axis = axis % logits.ndim
     idx = np.expand_dims(np.asarray(targets), axis)

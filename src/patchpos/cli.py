@@ -74,7 +74,7 @@ def cmd_eval(args):
     reader = data.DatasetReader(args.dataset)
     model = load_finetuned(args.checkpoint, reader.channel_tags)
     labels = data.read_labels(args.labels)
-    check_labels(labels, model.classes, args.labels)
+    check_labels(labels, model.classes, args.labels, reader)
     images = read_images(reader, range(len(reader)), model)
     masks = predict(model, images)
     per_class, miou = iou_miou(masks, labels, model.classes)

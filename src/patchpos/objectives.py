@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, cross_entropy, log, no_grad, softmax_lastdim, sqrt
+from .autodiff import ShapeError, Tensor, cross_entropy, no_grad, sqrt
 from .nn import Linear
 from .views import Correspondence
 
@@ -89,25 +89,40 @@ def position_loss(u: Tensor, head: PositionHead, corrs: Sequence[Correspondence]
     return loss, acc, int(rows.size)
 
 
-def sinkhorn_knopp(scores: np.ndarray, iterations: int = 3, tau: float = 1.0) -> np.ndarray:
+def sinkhorn_knopp(scores: np.ndarray, iterations: int = 3, tau: float = 1.0,
+                   counts: Optional[np.ndarray] = None) -> np.ndarray:
     """Balanced soft assignments from a B x K score matrix.
 
     Starts from a row softmax of scores/tau, then alternates column
     normalization (sums to B/K) and row normalization (sums to 1). Always
-    ends on a row normalization, so output rows sum to 1.
+    ends on a row normalization, so output rows sum to 1. Float32 scores
+    are balanced in float32, any other dtype in float64.
+
+    ``counts``, when given, is the multiplicity of each row: the result is
+    that of the matrix with row i repeated ``counts[i]`` times, without
+    building it. Column sums are then ``counts @ p`` and B is
+    ``counts.sum()``; repeated rows would stay equal, because the column
+    scaling is shared and the row normalization is per row.
     """
-    s = np.asarray(scores, dtype=np.float64)
+    s = np.asarray(scores)
+    s = s.astype(np.float32 if s.dtype == np.float32 else np.float64, copy=False)
     if s.ndim != 2:
         raise ValueError(f"expected a B x K matrix, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("non-finite scores")
     b, k = s.shape
+    if counts is not None:
+        counts = np.asarray(counts, dtype=s.dtype)
+        if counts.shape != (b,):
+            raise ValueError(f"counts of shape {counts.shape} for {b} score rows")
+        b = counts.sum()
     p = s / tau
     p -= p.max(axis=1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
     for _ in range(iterations):
-        p /= p.sum(axis=0, keepdims=True) * (k / b)
+        cols = p.sum(axis=0) if counts is None else counts @ p
+        p /= cols * (k / b)
         p /= p.sum(axis=1, keepdims=True)
     return p
 
@@ -155,28 +170,62 @@ def pseudo_labels(z_ref: np.ndarray, head: ClusterHead, positions: np.ndarray,
 
     The rows are projected under ``no_grad()``, so the label branch records
     no tape and no gradient flows into it. Positions repeat (several query
-    patches share a reference patch), so each distinct row is projected
-    once; Sinkhorn still balances over every position.
+    patches share a reference patch), so each distinct row is projected and
+    balanced once: Sinkhorn weighs it by its number of positions through
+    ``counts``, which gives the balancing of every position, and the rows
+    are expanded to the positions at the end.
     """
-    unique, inverse = np.unique(positions, return_inverse=True)
+    unique, inverse, counts = np.unique(positions, return_inverse=True, return_counts=True)
     with no_grad():
         proj = head.project(Tensor(np.asarray(z_ref)[unique])).data
-    sims = (proj @ head.prototypes.data.T)[inverse.reshape(-1)]
-    return sinkhorn_knopp(sims, iterations=iterations, tau=head.tau)
+    labels = sinkhorn_knopp(proj @ head.prototypes.data.T, iterations=iterations,
+                            tau=head.tau, counts=counts)
+    return labels[inverse.reshape(-1)]
 
 
-def soft_cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Weighted cross-entropy against soft target rows."""
-    from .autodiff import log_softmax_lastdim
-    logp = log_softmax_lastdim(logits)
-    per_row = -(logp * Tensor(targets.astype(logits.dtype))).sum(axis=-1)
-    return (per_row * Tensor(np.asarray(weights, dtype=logits.dtype))).sum()
+def cluster_tail(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """The weighted soft cross-entropy of ``logits`` (n, K) against the
+    target rows and the entropy of the batch-mean softmax, as one (2,) node.
 
+    With s the row-shifted logits, lse the row log-sum-exp of s, t the
+    targets, w the weights, p the row softmax and m̄ its mean over rows:
+    out[0] = Σᵢ wᵢ(lseᵢ·Σₖtᵢₖ − Σₖtᵢₖsᵢₖ) and out[1] = −Σₖ m̄ₖ log(m̄ₖ + ε),
+    ε = 1e-12. Target rows need not sum to 1. Backward keeps p, t and row
+    vectors: with aₖ = −(log(m̄ₖ + ε) + m̄ₖ/(m̄ₖ + ε))/n and upstream gradients
+    (g_c, g_r), gx = g_c·wᵢ(pᵢₖΣt − tᵢₖ) + g_r·pᵢₖ(aₖ − Σⱼpᵢⱼaⱼ).
+    """
+    eps = 1e-12
+    x = logits.data
+    if x.ndim != 2 or 0 in x.shape:
+        raise ShapeError(f"cluster_tail expects (n, K) logits with n, K > 0, got {x.shape}")
+    t = np.asarray(targets, dtype=x.dtype)
+    w = np.asarray(weights, dtype=x.dtype)
+    if t.shape != x.shape or w.shape != x.shape[:1]:
+        raise ShapeError(f"cluster_tail: logits {x.shape}, targets {t.shape}, "
+                         f"weights {w.shape}")
+    n = x.shape[0]
+    p = x - x.max(axis=1, keepdims=True)
+    ts = np.einsum("ik,ik->i", t, p)            # Σₖ tᵢₖ sᵢₖ, without a product array
+    np.exp(p, out=p)
+    sums = p.sum(axis=1)
+    t_sum = t.sum(axis=1)
+    closs = w @ (np.log(sums) * t_sum - ts)
+    p /= sums[:, None]
+    m = p.sum(axis=0) / n
+    log_m = np.log(m + eps)
+    out = np.array([closs, -(m @ log_m)], dtype=x.dtype)
 
-def mean_entropy_regularizer(probs: Tensor) -> Tensor:
-    """Entropy of the batch-mean cluster distribution (to be maximised)."""
-    m = probs.mean(axis=tuple(range(probs.ndim - 1)))
-    return -(m * log(m + 1e-12)).sum()
+    def bwd(g):
+        g_c, g_r = g
+        a = (log_m + m / (m + eps)) * (-g_r / n)
+        gx = np.add.outer(-(p @ a), a)          # aₖ − Σⱼpᵢⱼaⱼ, exactly 0 when K = 1
+        gx += ((g_c * w) * t_sum)[:, None]
+        gx *= p
+        np.multiply(t, (g_c * w)[:, None], out=p)   # p is not read again
+        gx -= p
+        return (gx,)
+
+    return Tensor(out, parents=(logits,), op="cluster_tail", backward=bwd)
 
 
 def cluster_objective(z_q: Tensor, z_ref: np.ndarray, head: ClusterHead,
@@ -187,9 +236,8 @@ def cluster_objective(z_q: Tensor, z_ref: np.ndarray, head: ClusterHead,
 
     ``z_q``: flattened (views*N_q, d) query representations; ``rows`` index
     into them; ``targets_ref_positions`` gives h(i) per row into ``z_ref``.
+    Both values are read from one ``cluster_tail`` node.
     """
     labels = pseudo_labels(z_ref, head, targets_ref_positions, iterations=sinkhorn_iterations)
-    logits = head.logits(z_q[rows])
-    loss = soft_cross_entropy(logits, labels, weights)
-    reg = mean_entropy_regularizer(softmax_lastdim(logits))
-    return loss, reg
+    tail = cluster_tail(head.logits(z_q[rows]), labels, weights)
+    return tail[0], tail[1]

@@ -122,9 +122,16 @@ def pixel_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 # -- metrics ----------------------------------------------------------------
 
-def check_labels(labels: np.ndarray, classes: int, path) -> None:
-    """Every label in the file ``path`` is IGNORE_LABEL or a class in
-    [0, ``classes``), or ConfigFileError names the first that is not."""
+def check_labels(labels: np.ndarray, classes: int, path, reader: DatasetReader) -> None:
+    """The file ``path`` holds one label map per image of ``reader``, of the
+    image's size, and every label is IGNORE_LABEL or a class in
+    [0, ``classes``); otherwise ConfigFileError names the files, or the
+    first label that is neither."""
+    h = reader.header
+    if labels.shape != (h.count, h.height, h.width):
+        n, lh, lw = labels.shape
+        raise ConfigFileError(f"labels file '{path}' holds {n} label maps of {lh}x{lw}, but "
+                              f"'{reader.path}' holds {h.count} images of {h.height}x{h.width}")
     bad = (labels < IGNORE_LABEL) | (labels >= classes)
     if bad.any():
         raise ConfigFileError(f"config key 'classes' ({classes}): labels file '{path}' holds "
@@ -208,9 +215,7 @@ def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
     decoder_upsamplings(pretrain_cfg.patch_size)
     reader = DatasetReader(cfg.dataset)
     labels = read_labels(cfg.labels)
-    check_labels(labels, cfg.classes, cfg.labels)
-    if len(labels) != len(reader):
-        raise ValueError(f"{len(reader)} images but {len(labels)} label maps")
+    check_labels(labels, cfg.classes, cfg.labels, reader)
 
     model = SegmentationModel(pretrain_cfg, reader.channel_tags, cfg.classes,
                               same_group_masking=cfg.same_group_masking, seed=seed)

@@ -54,8 +54,9 @@ def test_criterion_1_correspondence_oracle():
 # -- 2: gradient suite -------------------------------------------------------
 
 def test_criterion_2_gradient_suite():
-    from patchpos.objectives import (ClusterHead, PositionHead, position_loss,
-                                     soft_cross_entropy, mean_entropy_regularizer)
+    from patchpos.objectives import ClusterHead, PositionHead, cluster_tail, position_loss
+    from reference import (cross_entropy_from_logits, log_softmax_lastdim,
+                           mean_entropy_regularizer, soft_cross_entropy)
     from patchpos.views import Correspondence
 
     t0 = time.time()
@@ -90,8 +91,8 @@ def test_criterion_2_gradient_suite():
     add("concat", lambda g1, g2: (ad.concat([g1, g2], axis=1) ** 2).sum(), g1, g2)
     h = t(3, 5)
     add("softmax", lambda h: (ad.softmax_lastdim(h) * np.arange(5.0)).sum(), h)
-    add("log_softmax", lambda h: (ad.log_softmax_lastdim(h) ** 2).sum(), h)
-    add("cross_entropy", lambda h: ad.cross_entropy_from_logits(h, np.array([1, 0, 4])).sum(), h)
+    add("log_softmax", lambda h: (log_softmax_lastdim(h) ** 2).sum(), h)
+    add("cross_entropy", lambda h: cross_entropy_from_logits(h, np.array([1, 0, 4])).sum(), h)
     x, gn, bn = t(2, 3, 6), t(6), t(6)
     add("layernorm", lambda x, gn, bn: (ad.layernorm(x, gn, bn) * 0.3).sum(), x, gn, bn)
     cx, ck = t(1, 2, 5, 5), t(3, 2, 3, 3)
@@ -144,6 +145,11 @@ def test_criterion_2_gradient_suite():
     cl, cw = t(2, 3, 4), rng.random((2, 4))
     add("cross_entropy_node", lambda cl: ad.cross_entropy(
         cl, np.array([[0, 2, 1, 1], [2, 0, 0, 1]]), axis=1, weights=cw).sum(), cl)
+
+    # the one-node cluster tail through both of its outputs, against soft
+    # targets whose rows do not sum to 1
+    tl, tt, tw = t(3, 4), rng.random((3, 4)), rng.random(3)
+    add("cluster_tail", lambda tl: (cluster_tail(tl, tt, tw) * np.array([0.7, -0.5])).sum(), tl)
 
     elapsed = time.time() - t0
     worst = max(checks.values())

@@ -119,3 +119,20 @@ def test_eval_rejects_labels_outside_the_classes(tmp_path, bad):
     with pytest.raises(ConfigFileError, match=re.escape(
             f"config key 'classes' (2): labels file '{lbl}' holds label {bad}")):
         main(["eval", "--checkpoint", str(ckpt), "--dataset", str(img), "--labels", str(lbl)])
+
+
+@pytest.mark.parametrize("keep", [np.s_[:3], np.s_[:, :16]])
+def test_eval_checks_one_label_map_per_image(tmp_path, keep):
+    # 3 maps for 4 images, or maps of another size, fail before predicting,
+    # naming both files
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 4, 32, 32, ["B2"], 0)
+    write_labels(lbl, read_labels(lbl)[keep])
+    n, h, w = read_labels(lbl).shape
+    model = SegmentationModel(PretrainConfig(depth=1, width=16, heads=2), ["B2"], 2)
+    ckpt = tmp_path / "ft.ckpt"
+    save_finetuned(ckpt, model, FinetuneConfig())
+    with pytest.raises(ConfigFileError, match=re.escape(
+            f"labels file '{lbl}' holds {n} label maps of {h}x{w}, but '{img}' holds "
+            f"4 images of 32x32")):
+        main(["eval", "--checkpoint", str(ckpt), "--dataset", str(img), "--labels", str(lbl)])

@@ -2,15 +2,18 @@
 regularizer — closed-form cases plus gradient checks of the loss heads."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchpos import autodiff as ad
-from patchpos.autodiff import Tensor, finite_difference_check, no_grad, softmax_lastdim
+from patchpos.autodiff import Tensor, finite_difference_check, no_grad
 from patchpos.objectives import (ClusterHead, LossReport, PositionHead,
-                                 cluster_objective, flatten_correspondences,
-                                 mean_entropy_regularizer, position_loss,
-                                 pseudo_labels, sinkhorn_knopp,
-                                 soft_cross_entropy)
+                                 cluster_objective, cluster_tail, flatten_correspondences,
+                                 position_loss, pseudo_labels, sinkhorn_knopp)
 from patchpos.views import Correspondence
+
+from reference import cluster_tail as composite_tail
+from reference import cross_entropy_from_logits, mean_entropy_regularizer, soft_cross_entropy
 
 
 # -- position loss -----------------------------------------------------------
@@ -94,7 +97,7 @@ def test_position_loss_matches_the_composite_bit_for_bit():
     ref_u = Tensor(x, requires_grad=True)
     rows, targets, weights = flatten_correspondences(corrs, 20)
     picked = head(ref_u).reshape(120, 64)[rows]
-    ref = (ad.cross_entropy_from_logits(picked, targets)
+    ref = (cross_entropy_from_logits(picked, targets)
            * Tensor(weights.astype(np.float32))).sum()
     ref.backward()
     for g, w in zip(got, (ref.data, ref_u.grad, head.linear.w.grad)):
@@ -151,6 +154,33 @@ def test_sinkhorn_input_validation():
         sinkhorn_knopp(np.zeros(3))
     with pytest.raises(ValueError):
         sinkhorn_knopp(np.array([[np.inf, 0.0]]))
+    with pytest.raises(ValueError, match="counts of shape"):
+        sinkhorn_knopp(np.zeros((3, 2)), counts=np.ones(2))
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 3, 20])
+def test_sinkhorn_counts_balance_the_repeated_rows(iterations):
+    # the distinct rows weighted by their counts, expanded, are the balancing
+    # of the matrix with every row repeated
+    rng = np.random.default_rng(23)
+    s_u = rng.standard_normal((30, 16)) * 3
+    inverse = rng.permutation(np.repeat(np.arange(30), rng.integers(1, 6, size=30)))
+    c = np.bincount(inverse, minlength=30)
+    got = sinkhorn_knopp(s_u, iterations, tau=0.5, counts=c)[inverse]
+    want = sinkhorn_knopp(s_u[inverse], iterations, tau=0.5)
+    assert got.dtype == want.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_sinkhorn_keeps_float32_and_widens_the_rest():
+    s = np.random.default_rng(24).standard_normal((12, 5))
+    single = sinkhorn_knopp(s.astype(np.float32), tau=0.05)
+    assert single.dtype == np.float32
+    assert np.allclose(single, sinkhorn_knopp(s, tau=0.05), rtol=1e-4, atol=1e-6)
+    assert sinkhorn_knopp(s.astype(np.float16)).dtype == np.float64
+    assert sinkhorn_knopp(np.ones((3, 2), dtype=np.int64)).dtype == np.float64
+    c = np.array([1, 2, 3] * 4)
+    assert sinkhorn_knopp(s.astype(np.float32), counts=c).dtype == np.float32
 
 
 # -- cluster head ------------------------------------------------------------
@@ -202,8 +232,8 @@ def test_pseudo_labels_stop_gradient():
 
 
 def test_pseudo_labels_project_each_row_once():
-    # projecting only the distinct rows, then indexing, matches projecting
-    # every (repeated) row up to GEMM rounding; Sinkhorn sees every row
+    # projecting and balancing only the distinct rows, then indexing, matches
+    # projecting and balancing every (repeated) row up to rounding
     head = ClusterHead(np.random.default_rng(17), width=8, num_prototypes=5)
     z_ref = np.random.default_rng(18).standard_normal((12, 8)).astype(np.float32)
     positions = np.random.default_rng(19).integers(0, 12, size=40)
@@ -219,20 +249,80 @@ def test_pseudo_labels_project_each_row_once():
 
 
 def test_soft_cross_entropy_hand_case():
+    # the composite reference and the node's first output
     logits = Tensor(np.log(np.array([[0.5, 0.25, 0.25]], dtype=np.float32)))
     targets = np.array([[0.5, 0.25, 0.25]])
     loss = soft_cross_entropy(logits, targets, np.array([1.0]))
     want = -(0.5 * np.log(0.5) + 2 * 0.25 * np.log(0.25))
     assert np.isclose(float(loss.data), want, atol=1e-6)
+    assert np.isclose(float(cluster_tail(logits, targets, np.array([1.0])).data[0]), want,
+                      atol=1e-6)
 
 
 def test_mean_entropy_regularizer_hand_case():
+    # the composite reference on probabilities, the node's second output on
+    # logits whose softmax they are (exp(-200) is 0 in float32)
     probs = Tensor(np.array([[1.0, 0.0], [0.5, 0.5]], dtype=np.float32))
     # mean distribution (0.75, 0.25): H = 0.5623...
     want = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
     assert np.isclose(float(mean_entropy_regularizer(probs).data), want, atol=1e-4)
+    logits = Tensor(np.array([[0.0, -200.0], [0.0, 0.0]], dtype=np.float32))
+    reg = cluster_tail(logits, np.zeros((2, 2)), np.ones(2)).data[1]
+    assert np.isclose(float(reg), want, atol=1e-4)
     uniform = Tensor(np.full((4, 8), 1 / 8, dtype=np.float32))
     assert np.isclose(float(mean_entropy_regularizer(uniform).data), np.log(8), atol=1e-4)
+    reg = cluster_tail(Tensor(np.zeros((4, 8), dtype=np.float32)), np.zeros((4, 8)),
+                       np.ones(4)).data[1]
+    assert np.isclose(float(reg), np.log(8), atol=1e-4)
+
+
+def run_tail(fn, x, targets, weights, upstream):
+    """Values of ``fn``'s two outputs and the logit gradient of
+    upstream[0]·out[0] + upstream[1]·out[1]."""
+    logits = Tensor(x.copy(), requires_grad=True)
+    closs, reg = fn(logits, targets, weights)
+    dt = x.dtype.type
+    (closs * dt(upstream[0]) + reg * dt(upstream[1])).backward()
+    return np.array([closs.data, reg.data]), logits.grad
+
+
+def node_tail(logits, targets, weights):
+    tail = cluster_tail(logits, targets, weights)
+    return tail[0], tail[1]
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 12), k=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([0.1, 1.0, 20.0]), dtype=st.sampled_from([np.float64, np.float32]),
+       zero_weights=st.booleans(), target_sum=st.sampled_from([None, 0.0, 0.3, 2.5]))
+def test_cluster_tail_matches_the_composite(n, k, seed, scale, dtype, zero_weights,
+                                            target_sum):
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((n, k)) * scale).astype(dtype)
+    targets = rng.random((n, k))
+    if target_sum is not None:      # rows summing to something other than 1
+        targets *= target_sum / np.maximum(targets.sum(axis=1, keepdims=True), 1e-12)
+    weights = np.zeros(n) if zero_weights else rng.random(n)
+    upstream = rng.standard_normal(2)
+    got_val, got_grad = run_tail(node_tail, x, targets, weights, upstream)
+    want_val, want_grad = run_tail(composite_tail, x, targets, weights, upstream)
+    assert got_val.dtype == got_grad.dtype == want_grad.dtype == dtype
+    bound = 1e-12 if dtype == np.float64 else 1e-5
+    assert np.all(np.abs(got_val - want_val) <= bound * np.maximum(np.abs(want_val), 1.0))
+    # relative to the largest entry, or to the upstream scale per row when
+    # the gradient is the small difference of the regularizer's terms
+    scale = max(np.abs(want_grad).max(), np.abs(upstream).max() / n)
+    assert np.abs(got_grad - want_grad).max() <= bound * scale
+
+
+def test_cluster_tail_rejects_mismatched_shapes():
+    x = Tensor(np.zeros((3, 4)))
+    with pytest.raises(ad.ShapeError):
+        cluster_tail(x, np.zeros((3, 5)), np.ones(3))
+    with pytest.raises(ad.ShapeError):
+        cluster_tail(x, np.zeros((3, 4)), np.ones(2))
+    with pytest.raises(ad.ShapeError):
+        cluster_tail(Tensor(np.zeros((0, 4))), np.zeros((0, 4)), np.ones(0))
 
 
 def test_cluster_objective_gradients():
@@ -257,9 +347,8 @@ def test_cluster_objective_gradients():
     labels = pseudo_labels(z_ref, head, targets)
 
     def fn_frozen(*_):
-        logits = head.logits(z_q[rows])
-        loss = soft_cross_entropy(logits, labels, weights)
-        return loss - 0.5 * mean_entropy_regularizer(softmax_lastdim(logits))
+        return (cluster_tail(head.logits(z_q[rows]), labels, weights)
+                * np.array([1.0, -0.5])).sum()
 
     params = [head.fc1.w, head.fc1.b, head.fc2.w, head.fc2.b, head.prototypes]
     assert finite_difference_check(fn_frozen, params) < 1e-4

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from patchpos import segmenter
-from patchpos.autodiff import Tensor, conv_transpose2d, cross_entropy_from_logits, no_grad
+from patchpos.autodiff import Tensor, conv_transpose2d, no_grad
 from patchpos.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from patchpos.config import ConfigFileError, FinetuneConfig, PretrainConfig
 from patchpos.data import (ALL_BANDS, DatasetReader, generate_synthetic_segmentation,
@@ -17,6 +17,8 @@ from patchpos.train import save_run_checkpoint
 from patchpos.segmenter import (LightDecoder, SegmentationModel,
                                 evaluate, finetune, iou_miou, load_finetuned,
                                 pixel_cross_entropy, save_finetuned, write_pgm)
+
+from reference import cross_entropy_from_logits
 
 
 def test_conv_transpose_upsamples_ones():
@@ -371,6 +373,19 @@ def test_stored_config_is_checked_naming_the_file(tmp_path, kind, change, error,
     save_checkpoint(ckpt, arrays, meta)
     with pytest.raises(error, match=re.escape(message.format(ckpt=ckpt))):
         load()
+
+
+@pytest.mark.parametrize("keep", [np.s_[:3], np.s_[:, :, :16]])
+def test_finetune_checks_one_label_map_per_image(tmp_path, keep):
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 4, 32, 32, ["B2"], 0)
+    write_labels(lbl, read_labels(lbl)[keep])
+    n, h, w = read_labels(lbl).shape
+    fcfg = FinetuneConfig(dataset=str(img), labels=str(lbl), steps=1, batch_size=2)
+    with pytest.raises(ConfigFileError, match=re.escape(
+            f"labels file '{lbl}' holds {n} label maps of {h}x{w}, but '{img}' holds "
+            f"4 images of 32x32")):
+        finetune(fcfg, pretrain_cfg=PretrainConfig(depth=1, width=16, heads=2))
 
 
 @pytest.mark.parametrize("bad", [2, -2])
