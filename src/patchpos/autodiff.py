@@ -140,9 +140,9 @@ class Tensor:
     def __add__(self, other):
         other = self._coerce(other)
         a, b = self, other
-        out = Tensor(a.data + b.data, parents=(a, b), op="add",
-                     backward=lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-        return out
+        return Tensor(a.data + b.data, parents=(a, b), op="add",
+                      backward=lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                                          _unbroadcast(g, b.shape) if b.requires_grad else None))
 
     __radd__ = __add__
 
@@ -160,8 +160,9 @@ class Tensor:
         other = self._coerce(other)
         a, b = self, other
         return Tensor(a.data * b.data, parents=(a, b), op="mul",
-                      backward=lambda g: (_unbroadcast(g * b.data, a.shape),
-                                          _unbroadcast(g * a.data, b.shape)))
+                      backward=lambda g: (
+                          _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                          _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
     __rmul__ = __mul__
 
@@ -169,8 +170,10 @@ class Tensor:
         other = self._coerce(other)
         a, b = self, other
         return Tensor(a.data / b.data, parents=(a, b), op="div",
-                      backward=lambda g: (_unbroadcast(g / b.data, a.shape),
-                                          _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+                      backward=lambda g: (
+                          _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                          _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                          if b.requires_grad else None))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

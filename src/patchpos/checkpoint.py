@@ -12,6 +12,9 @@ import struct
 
 import numpy as np
 
+from .config import ConfigFileError
+from .groups import build_group_setting
+
 log = logging.getLogger(__name__)
 
 MAGIC = b"MMCKPT1\0"
@@ -125,3 +128,23 @@ def check_config_hash(meta: dict, expected_hash: str, path) -> None:
     if got != expected_hash:
         log.warning("checkpoint '%s' was written under a different config "
                     "(hash %s, current %s)", path, got, expected_hash)
+
+
+def check_bands(meta: dict, group_setting: str, channel_tags: list[str], path, dataset) -> None:
+    """Each group of ``group_setting`` reads the same bands, by tag, from the
+    channels the checkpoint at ``path`` was trained on as from
+    ``channel_tags``, the channels of ``dataset``; otherwise ConfigFileError
+    names both. Presets and listings compare band codes, so a reordered
+    dataset passes; ``all`` needs the same order. A checkpoint that stores no channel tags
+    raises CheckpointError."""
+    stored = meta.get("channel_tags")
+    if not isinstance(stored, list):
+        raise CheckpointError(f"'{path}' stores no channel tags")
+
+    def bands(tags):
+        return [[tags[c] for c in g] for g in build_group_setting(group_setting, tags).groups]
+
+    trained, given = bands(stored), bands(channel_tags)
+    if trained != given:
+        raise ConfigFileError(f"checkpoint '{path}' was trained with groups reading bands "
+                              f"{trained}, but {dataset} gives them {given}")

@@ -10,9 +10,9 @@ import sys
 import numpy as np
 
 from . import data
-from .config import FinetuneConfig, PretrainConfig
-from .segmenter import (check_labels, finetune_runs, iou_miou, load_finetuned, predict,
-                        read_images, save_finetuned, write_pgm)
+from .config import ConfigFileError, FinetuneConfig, PretrainConfig
+from .segmenter import (check_image_size, check_labels, finetune_runs, iou_miou, load_finetuned,
+                        predict, read_images, save_finetuned, write_pgm)
 from .train import pretrain
 from .views import (RasterImage, compute_correspondence, sample_query_views,
                     sample_reference_view)
@@ -72,7 +72,11 @@ def cmd_finetune(args):
 
 def cmd_eval(args):
     reader = data.DatasetReader(args.dataset)
-    model = load_finetuned(args.checkpoint, reader.channel_tags)
+    try:
+        model = load_finetuned(args.checkpoint, reader.channel_tags)
+    except ConfigFileError as e:
+        raise ConfigFileError(f"{e} (evaluating on dataset '{args.dataset}')") from e
+    check_image_size(reader, model.cfg.patch_size)
     labels = data.read_labels(args.labels)
     check_labels(labels, model.classes, args.labels, reader)
     images = read_images(reader, range(len(reader)), model)

@@ -155,7 +155,6 @@ class PretrainConfig(_Config):
     # cluster objective
     cluster_loss: bool = key(True, BOOL)
     num_prototypes: int = key(256, POSITIVE_INT)
-    lambda_me: float = key(1.0, NON_NEGATIVE)
     tau: float = key(0.05, POSITIVE)
     sinkhorn_iters: int = key(3, NON_NEGATIVE_INT)
     # encoder
@@ -198,7 +197,7 @@ class FinetuneConfig(_Config):
     """End-to-end segmentation finetuning on a labeled dataset."""
     dataset: str = key("", TEXT)
     labels: str = key("", TEXT)
-    checkpoint: str = key("", TEXT)        # pretrained weights; empty -> random init
+    checkpoint: str = key("", TEXT)        # pretrained weights; empty needs a pretrain_cfg
     classes: int = key(2, POSITIVE_INT)
     seed: int = key(0, NON_NEGATIVE_INT)
     steps: int = key(300, POSITIVE_INT)

@@ -9,12 +9,11 @@ from .config import PretrainConfig
 from .encoder import Backbone, CrossAttentionBlock
 from .groups import GroupedTokens, draw_groups, sample_groups  # noqa: F401
 # sample_groups stays bound here: benchmarks/probes.py wraps model.sample_groups
-from .objectives import (ClusterHead, LossReport, PositionHead,
-                         cluster_objective, flatten_correspondences,
+from .nn import Linear
+from .objectives import (ClusterHead, LossReport, cluster_objective, flatten_correspondences,
                          position_loss)
-from .views import (Correspondence, RasterImage, compute_correspondence,
-                    materialize_view, patchify, sample_query_views,
-                    sample_reference_view)
+from .views import (RasterImage, compute_correspondence, materialize_view, patchify,
+                    sample_query_views, sample_reference_view)
 
 
 class PretrainModel:
@@ -26,7 +25,7 @@ class PretrainModel:
         # the bands the groups read, in the order the embedder expects them
         self.input_tags = [self.channel_tags[c] for c in self.backbone.setting.channels]
         self.cross = CrossAttentionBlock(rng, cfg.width, cfg.heads, cfg.mlp_ratio, dtype=dtype)
-        self.pos_head = PositionHead(rng, cfg.width, cfg.n_ref, dtype=dtype)
+        self.pos_head = Linear(rng, cfg.width, cfg.n_ref, dtype=dtype, std=0.01)
         self.cluster: ClusterHead | None = None
         if cfg.cluster_loss:
             self.cluster = ClusterHead(rng, cfg.width, cfg.num_prototypes, tau=cfg.tau,
@@ -62,9 +61,13 @@ class PretrainModel:
 
     def sample_batch_views(self, images: list[RasterImage], rng: np.random.Generator,
                            noise_rng: np.random.Generator | None = None):
-        """Sample and materialize one reference + Q query views per image."""
+        """Sample and materialize one reference + Q query views per image.
+
+        Returns the (B, N_ref, C, P, P) reference and (B, Q, N_q, C, P, P)
+        query patches and the (B·Q, N_q) targets ``h``: row v holds each
+        patch of query view v's reference patch, -1 where it has none."""
         cfg = self.cfg
-        refs, queries, corrs = [], [], []
+        refs, queries, h = [], [], []
         for img in map(self._read_channels, images):
             ref_spec = sample_reference_view(
                 img, rng, (cfg.ref_scale_min, cfg.ref_scale_max),
@@ -72,14 +75,14 @@ class PretrainModel:
             q_specs = sample_query_views(
                 img, ref_spec, cfg.queries_per_ref, rng,
                 (cfg.q_scale_min, cfg.q_scale_max), cfg.h_q, cfg.patch_size, cfg.flip_prob)
-            ref_view = materialize_view(img, ref_spec).data
+            ref_view = materialize_view(img, ref_spec)
             if noise_rng is not None:
                 ref_view = noise_rng.standard_normal(ref_view.shape).astype(np.float32)
             refs.append(patchify(ref_view, cfg.patch_size))
-            queries.append(patchify(np.stack([materialize_view(img, s).data for s in q_specs]),
+            queries.append(patchify(np.stack([materialize_view(img, s) for s in q_specs]),
                                     cfg.patch_size))
-            corrs.extend(compute_correspondence(s, ref_spec) for s in q_specs)
-        return np.stack(refs), np.stack(queries), corrs
+            h.extend(compute_correspondence(s, ref_spec).h for s in q_specs)
+        return np.stack(refs), np.stack(queries), np.stack(h)
 
     def _encode(self, patches: np.ndarray, grid: int, rng) -> GroupedTokens:
         """Embed, encode and, with group sampling, keep one group per position.
@@ -98,7 +101,7 @@ class PretrainModel:
                      noise_rng: np.random.Generator | None = None
                      ) -> tuple[Tensor, LossReport]:
         cfg = self.cfg
-        ref_patches, q_patches, corrs = self.sample_batch_views(images, rng, noise_rng)
+        ref_patches, q_patches, h = self.sample_batch_views(images, rng, noise_rng)
         b = len(images)
         qv = cfg.queries_per_ref
         grid_q = cfg.h_q // cfg.patch_size
@@ -112,18 +115,18 @@ class PretrainModel:
             zr = self._encode(ref_patches, grid_ref, rng)
 
         # per-token targets: a token at spatial position i inherits h(i)
-        token_corrs = [Correspondence(c.h[zq.position_ids]) for c in corrs]
+        h = h[:, zq.position_ids]
 
         u = self._cross_attend(zq, zr, b, rng) if zr is not None and cfg.eta < 1.0 else zq.tokens
         u_flat = u.reshape(b * qv, l_q, cfg.width)
-        ploss, acc, omega = position_loss(u_flat, self.pos_head, token_corrs)
+        ploss, acc, omega = position_loss(u_flat, self.pos_head, h)
 
         closs_val = 0.0
         reg_val = 0.0
         loss = ploss
         if self.cluster is not None and omega > 0:
             l_ref = zr.length
-            rows, targets, weights = flatten_correspondences(token_corrs, l_q)
+            rows, targets, weights = flatten_correspondences(h)
             b_idx = rows // (qv * l_q)
             # without group sampling both sequences are group-major, G*N long:
             # a query row's target is the reference token of its own group
@@ -134,7 +137,7 @@ class PretrainModel:
             closs, reg = cluster_objective(zq_flat, zr_flat, self.cluster, rows,
                                            global_targets, weights,
                                            sinkhorn_iterations=cfg.sinkhorn_iters)
-            loss = loss + closs - cfg.lambda_me * reg
+            loss = loss + closs - reg
             closs_val = float(closs.data)
             reg_val = float(reg.data)
 

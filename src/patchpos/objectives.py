@@ -3,13 +3,12 @@ with balanced pseudo-labels, and the mean-entropy regularizer."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, cross_entropy, no_grad, sqrt
 from .nn import Linear
-from .views import Correspondence
 
 
 @dataclass
@@ -30,60 +29,37 @@ class LossReport:
                 f"lr={lr:.8f}")
 
 
-class PositionHead:
-    """Linear classifier over reference grid positions."""
-
-    def __init__(self, rng, width: int, n_ref: int, dtype=np.float32):
-        self.n_ref = n_ref
-        self.linear = Linear(rng, width, n_ref, dtype=dtype, std=0.01)
-
-    def params(self, prefix):
-        return self.linear.params(prefix)
-
-    def __call__(self, u: Tensor) -> Tensor:
-        return self.linear(u)
-
-
-def flatten_correspondences(corrs: Sequence[Correspondence], n_q: int
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def flatten_correspondences(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pool the valid patches of several query views.
 
-    Returns (row indices into the views*N_q flattening, target reference
-    positions, per-row weights). Weights average within each view's valid
-    set first, then across views with a nonempty valid set, matching a
-    per-view mean loss averaged over views.
+    ``h`` is (views, N_q): each query patch's reference patch, -1 where it
+    has none. Returns (row indices into the views*N_q flattening, target
+    reference positions, per-row weights). Weights average within each
+    view's valid set first, then across views with a nonempty valid set,
+    matching a per-view mean loss averaged over views.
     """
-    rows, targets, weights = [], [], []
-    nonempty = sum(1 for c in corrs if c.omega.size)
-    for v, corr in enumerate(corrs):
-        if corr.omega.size == 0:
-            continue
-        rows.append(v * n_q + corr.omega)
-        targets.append(corr.h[corr.omega])
-        weights.append(np.full(corr.omega.size, 1.0 / (nonempty * corr.omega.size)))
-    if not rows:
-        return (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
-    return (np.concatenate(rows), np.concatenate(targets),
-            np.concatenate(weights).astype(np.float64))
+    valid = h >= 0
+    rows = np.flatnonzero(valid)
+    count = valid.sum(axis=1)
+    weights = 1.0 / (np.count_nonzero(count) * count[rows // h.shape[1]])
+    return rows, h.ravel()[rows], weights
 
 
-def position_loss(u: Tensor, head: PositionHead, corrs: Sequence[Correspondence]
+def position_loss(u: Tensor, head: Linear, h: np.ndarray
                   ) -> tuple[Tensor, Optional[float], int]:
     """Mean softmax cross-entropy of each valid query patch against its
     reference position, plus top-1 accuracy over the valid set.
 
-    ``u`` is (views, N_q, d) or (N_q, d) with one correspondence per view.
+    ``u`` is (views, N_q, d) and ``h`` (views, N_q), as in
+    :func:`flatten_correspondences`; ``head`` maps d to the reference grid.
     """
-    if u.ndim == 2:
-        u = u.reshape((1,) + u.shape)
-    n_views, n_q, _ = u.shape
-    if n_views != len(corrs):
-        raise ValueError(f"{n_views} views but {len(corrs)} correspondences")
-    rows, targets, weights = flatten_correspondences(corrs, n_q)
+    if h.shape != u.shape[:2]:
+        raise ValueError(f"targets of shape {h.shape} for representations {u.shape[:2]}")
+    rows, targets, weights = flatten_correspondences(h)
     if rows.size == 0:
         return Tensor(np.zeros((), dtype=u.dtype)), None, 0
-    logits = head(u).reshape(n_views * n_q, head.n_ref)
-    picked = logits[rows]
+    logits = head(u)
+    picked = logits.reshape(h.size, logits.shape[-1])[rows]
     loss = cross_entropy(picked, targets, weights=weights).sum()
     acc = float(np.mean(np.argmax(picked.data, axis=-1) == targets))
     return loss, acc, int(rows.size)

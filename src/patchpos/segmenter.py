@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, conv2d, conv_transpose2d, cross_entropy, no_grad
-from .checkpoint import CheckpointError, load_checkpoint, load_params, save_checkpoint
+from .checkpoint import (CheckpointError, check_bands, load_checkpoint, load_params,
+                         save_checkpoint)
 from .config import ConfigFileError, FinetuneConfig, PretrainConfig
 from .data import IGNORE_LABEL, DatasetReader, read_labels
 from .encoder import Backbone
@@ -83,6 +84,7 @@ class SegmentationModel:
     def __init__(self, cfg: PretrainConfig, channel_tags: list[str], classes: int,
                  same_group_masking: bool = False, seed: int = 0, dtype=np.float32):
         self.cfg = cfg
+        self.channel_tags = list(channel_tags)
         self.classes = classes
         self.same_group_masking = same_group_masking
         rng = np.random.default_rng([seed, 0x5E6])
@@ -137,6 +139,15 @@ def check_labels(labels: np.ndarray, classes: int, path, reader: DatasetReader) 
         raise ConfigFileError(f"config key 'classes' ({classes}): labels file '{path}' holds "
                               f"label {int(labels[bad][0])}, which is neither {IGNORE_LABEL} "
                               f"(ignore) nor a class in [0, {classes})")
+
+
+def check_image_size(reader: DatasetReader, patch: int) -> None:
+    """The images of ``reader`` split into whole ``patch`` x ``patch``
+    patches; otherwise ConfigFileError names ``patch_size`` and the file."""
+    h = reader.header
+    if h.height % patch or h.width % patch:
+        raise ConfigFileError(f"config key 'patch_size': the {h.height}x{h.width} images of "
+                              f"'{reader.path}' are not divisible by patch size {patch}")
 
 
 def iou_miou(pred: np.ndarray, truth: np.ndarray, classes: int
@@ -211,9 +222,14 @@ def finetune(cfg: FinetuneConfig, pretrain_cfg: PretrainConfig | None = None,
         if pretrain_cfg is None:
             pretrain_cfg = _stored_config(ckpt_meta, cfg.checkpoint)
     if pretrain_cfg is None:
-        raise ValueError("finetuning needs either a checkpoint or an explicit model config")
+        raise ConfigFileError("config key 'checkpoint': a pretraining checkpoint is required, "
+                              "got ''; random initialization needs finetune(..., pretrain_cfg=...)")
     decoder_upsamplings(pretrain_cfg.patch_size)
     reader = DatasetReader(cfg.dataset)
+    check_image_size(reader, pretrain_cfg.patch_size)
+    if ckpt_meta is not None:
+        check_bands(ckpt_meta, pretrain_cfg.group_setting, reader.channel_tags, cfg.checkpoint,
+                    f"dataset '{cfg.dataset}'")
     labels = read_labels(cfg.labels)
     check_labels(labels, cfg.classes, cfg.labels, reader)
 
@@ -278,13 +294,15 @@ def save_finetuned(path, model: SegmentationModel, cfg: FinetuneConfig):
     arrays = {f"param/{k}": v.data.copy() for k, v in model.params().items()}
     meta = {"config": model.cfg.to_dict(), "config_hash": model.cfg.hash(),
             "finetune": cfg.to_dict(), "classes": model.classes,
-            "same_group_masking": model.same_group_masking}
+            "same_group_masking": model.same_group_masking, "channel_tags": model.channel_tags}
     save_checkpoint(path, arrays, meta)
 
 
 def load_finetuned(path, channel_tags: list[str]) -> SegmentationModel:
     arrays, meta = load_checkpoint(path)
     pcfg = _stored_config(meta, path)
+    check_bands(meta, pcfg.group_setting, channel_tags, path,
+                f"a dataset with channels {list(channel_tags)}")
     model = SegmentationModel(pcfg, channel_tags, int(meta["classes"]),
                               same_group_masking=bool(meta["same_group_masking"]))
     load_params(model.params(), arrays, path)

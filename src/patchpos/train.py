@@ -8,7 +8,8 @@ import re
 
 import numpy as np
 
-from .checkpoint import check_config_hash, load_checkpoint, load_params, save_checkpoint
+from .checkpoint import (check_bands, check_config_hash, load_checkpoint, load_params,
+                         save_checkpoint)
 from .config import ConfigFileError, PretrainConfig
 from .data import DatasetReader
 from .model import PretrainModel
@@ -51,6 +52,8 @@ def save_run_checkpoint(path, model: PretrainModel, opt: AdamW, global_step: int
 def restore_run_checkpoint(path, model: PretrainModel, opt: AdamW) -> tuple[int, int]:
     arrays, meta = load_checkpoint(path)
     check_config_hash(meta, model.cfg.hash(), path)
+    check_bands(meta, model.cfg.group_setting, model.channel_tags, path,
+                f"dataset '{model.cfg.dataset}'")
     load_params(model.params(), arrays, path)
     moments = {s: {k: arrays[f"adam_{s}/{k}"] for k in opt.params} for s in ("m", "v")}
     opt.load_state_dict({"step_count": meta["adam_step_count"], **moments})

@@ -26,8 +26,7 @@ class RasterImage:
     """A C x H x W raster with one modality/band tag per channel.
 
     Values are checked to be finite unless ``check_finite`` is False, which
-    is for rasters derived from an already checked one (channel subsets,
-    resampled views: convex mixes of finite values stay finite).
+    is for values checked already (a reader's samples, channel subsets).
     """
     data: np.ndarray
     channel_tags: list[str]
@@ -182,12 +181,12 @@ def _resize_bilinear(x: np.ndarray, out_h: int, out_w: int, hflip: bool = False)
     return out.astype(x.dtype, copy=False)
 
 
-def materialize_view(image: RasterImage, spec: ViewSpec) -> RasterImage:
-    """Crop, rescale, then flip."""
+def materialize_view(image: RasterImage, spec: ViewSpec) -> np.ndarray:
+    """The (C, out_h, out_w) view: crop, rescale, then flip. It is not
+    checked for finiteness again: convex mixes of finite values stay finite."""
     spec.validate_inside(image)
     crop = image.data[:, spec.top:spec.top + spec.height, spec.left:spec.left + spec.width]
-    out = _resize_bilinear(crop, spec.out_h, spec.out_w, spec.hflip)
-    return RasterImage(out, list(image.channel_tags), check_finite=False)
+    return _resize_bilinear(crop, spec.out_h, spec.out_w, spec.hflip)
 
 
 def patch_boundaries(spec: ViewSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 that the one-node ops are tested against: the log-softmax family, the
 hard-target cross-entropy that ``autodiff.cross_entropy`` fuses, and the
 soft cross-entropy and mean-entropy regularizer that
-``objectives.cluster_tail`` fuses."""
+``objectives.cluster_tail`` fuses; and the per-view loop that
+``objectives.flatten_correspondences`` pools without."""
 import numpy as np
 
 from patchpos.autodiff import Tensor, exp, log, softmax_lastdim
@@ -46,3 +47,21 @@ def cluster_tail(logits: Tensor, targets: np.ndarray, weights: np.ndarray
     """The composite that ``objectives.cluster_tail`` replaces."""
     return (soft_cross_entropy(logits, targets, weights),
             mean_entropy_regularizer(softmax_lastdim(logits)))
+
+
+def flatten_correspondences_per_view(h: np.ndarray):
+    """``objectives.flatten_correspondences`` one query view at a time."""
+    n_q = h.shape[1]
+    valid = [np.flatnonzero(row >= 0) for row in h]
+    nonempty = sum(1 for omega in valid if omega.size)
+    rows, targets, weights = [], [], []
+    for v, omega in enumerate(valid):
+        if omega.size == 0:
+            continue
+        rows.append(v * n_q + omega)
+        targets.append(h[v][omega])
+        weights.append(np.full(omega.size, 1.0 / (nonempty * omega.size)))
+    if not rows:
+        return (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
+    return (np.concatenate(rows), np.concatenate(targets),
+            np.concatenate(weights).astype(np.float64))

@@ -54,10 +54,10 @@ def test_criterion_1_correspondence_oracle():
 # -- 2: gradient suite -------------------------------------------------------
 
 def test_criterion_2_gradient_suite():
-    from patchpos.objectives import ClusterHead, PositionHead, cluster_tail, position_loss
+    from patchpos.nn import Linear
+    from patchpos.objectives import ClusterHead, cluster_tail, position_loss
     from reference import (cross_entropy_from_logits, log_softmax_lastdim,
                            mean_entropy_regularizer, soft_cross_entropy)
-    from patchpos.views import Correspondence
 
     t0 = time.time()
     rng = np.random.default_rng(1)
@@ -110,11 +110,10 @@ def test_criterion_2_gradient_suite():
     add("attention_block", lambda *p: (blk(p[0], bias) ** 2).sum(), *blk_params)
 
     # position loss head
-    head = PositionHead(np.random.default_rng(3), width=3, n_ref=6, dtype=np.float64)
+    head = Linear(np.random.default_rng(3), 3, 6, dtype=np.float64, std=0.01)
     u = t(2, 2, 3)
-    corrs = [Correspondence([1, -1]), Correspondence([5, 0])]
-    add("position_loss", lambda *p: position_loss(p[0], head, corrs)[0],
-        u, head.linear.w, head.linear.b)
+    h = np.array([[1, -1], [5, 0]])
+    add("position_loss", lambda *p: position_loss(p[0], head, h)[0], u, head.w, head.b)
 
     # cluster loss head (fixed soft labels: the label branch is stop-gradient)
     chead = ClusterHead(np.random.default_rng(4), width=4, num_prototypes=3,

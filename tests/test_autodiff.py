@@ -1,4 +1,6 @@
 """Finite-difference gradient checks and shape handling for the tensor engine."""
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,27 @@ def test_linear_skips_constant_input_grad():
     assert x.grad is None
     assert np.allclose(w.grad, x.data.sum(axis=0)[:, None] * np.ones((1, 2)))
     assert np.allclose(b.grad, 3.0)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.mul, operator.truediv],
+                         ids=["add", "mul", "div"])
+def test_broadcasting_ops_skip_constant_operand_grads(op):
+    # a constant operand gets None from the node's backward, not a gradient
+    # for backward() to drop; the other operand's gradient does not change
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((5, 4)) + 3.0
+    c = rng.standard_normal((1, 4)) + 3.0
+    for const_first in (False, True):
+        grads = []
+        for c_requires_grad in (False, True):
+            xt = Tensor(x, requires_grad=True)
+            ct = Tensor(c, requires_grad=c_requires_grad)
+            out = op(ct, xt) if const_first else op(xt, ct)
+            pg = out._backward(np.ones(out.shape))
+            assert (pg[0] if const_first else pg[1]) is None or c_requires_grad
+            (out * out).sum().backward()
+            grads.append(xt.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
 
 
 def test_linear_shape_errors():

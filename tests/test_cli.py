@@ -136,3 +136,56 @@ def test_eval_checks_one_label_map_per_image(tmp_path, keep):
             f"labels file '{lbl}' holds {n} label maps of {h}x{w}, but '{img}' holds "
             f"4 images of 32x32")):
         main(["eval", "--checkpoint", str(ckpt), "--dataset", str(img), "--labels", str(lbl)])
+
+
+def test_finetune_without_checkpoint_names_the_key(tmp_path):
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 4, 32, 32, ["B2"], 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset = {img}\nlabels = {lbl}\nsteps = 1\nbatch_size = 2\n")
+    with pytest.raises(ConfigFileError, match=re.escape(
+            "config key 'checkpoint': a pretraining checkpoint is required, got ''")):
+        main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def finetuned_checkpoint(path, tags, group_setting="all"):
+    model = SegmentationModel(PretrainConfig(depth=1, width=16, heads=2,
+                                             group_setting=group_setting), tags, 2)
+    save_finetuned(path, model, FinetuneConfig())
+    return path
+
+
+def test_finetune_and_eval_check_the_image_size(tmp_path):
+    # 60x60 images do not split into 8x8 patches: both commands say so before running
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 4, 60, 60, ["B2"], 0)
+    wanted = re.escape(f"config key 'patch_size': the 60x60 images of '{img}' are not "
+                       f"divisible by patch size 8")
+    main(["gen-data", "--out", str(tmp_path / "p.mmr"), "--count", "4", "--size", "32",
+          "--channels", "B2", "--seed", "1"])
+    pcfg = tmp_path / "p.cfg"
+    pcfg.write_text(f"dataset = {tmp_path / 'p.mmr'}\nepochs = 1\nbatch_size = 4\n"
+                    "queries_per_ref = 1\nh_ref = 16\nh_q = 8\ndepth = 1\nwidth = 16\n"
+                    "heads = 2\ncluster_loss = false\n")
+    main(["pretrain", "--config", str(pcfg), "--out", str(tmp_path / "run")])
+    fcfg = tmp_path / "f.cfg"
+    fcfg.write_text(f"dataset = {img}\nlabels = {lbl}\n"
+                    f"checkpoint = {tmp_path / 'run' / 'checkpoint.ckpt'}\n"
+                    "steps = 1\nbatch_size = 2\n")
+    with pytest.raises(ConfigFileError, match=wanted):
+        main(["finetune", "--config", str(fcfg), "--out", str(tmp_path / "ft")])
+    ckpt = finetuned_checkpoint(tmp_path / "ft.ckpt", ["B2"])
+    with pytest.raises(ConfigFileError, match=wanted):
+        main(["eval", "--checkpoint", str(ckpt), "--dataset", str(img), "--labels", str(lbl)])
+
+
+def test_eval_checks_the_checkpoints_bands(tmp_path):
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 4, 32, 32, ["B11", "B12", "DEM", "A-VV"], 0)
+    ckpt = finetuned_checkpoint(tmp_path / "ft.ckpt", ["B2", "B3", "B4", "B8"])
+    with pytest.raises(ConfigFileError, match=re.escape(
+            f"checkpoint '{ckpt}' was trained with groups reading bands "
+            f"[['B2', 'B3', 'B4', 'B8']], but a dataset with channels "
+            f"['B11', 'B12', 'DEM', 'A-VV'] gives them [['B11', 'B12', 'DEM', 'A-VV']] "
+            f"(evaluating on dataset '{img}')")):
+        main(["eval", "--checkpoint", str(ckpt), "--dataset", str(img), "--labels", str(lbl)])

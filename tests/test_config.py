@@ -153,8 +153,7 @@ OUT_OF_DOMAIN = {
         "q_scale_min": [-0.1], "q_scale_max": [2.0], "flip_prob": [2, -0.1, NAN],
         "group_setting": [None, 6], "group_sampling": [1, "yes"],
         "same_group_masking": [0, None], "eta": [1.5, -0.5, NAN], "cluster_loss": ["on"],
-        "num_prototypes": [0], "lambda_me": [NAN, -1.0, INF],
-        "tau": [0.0, INF], "sinkhorn_iters": [-1, 1.5], "depth": [0, True],
+        "num_prototypes": [0], "tau": [0.0, INF], "sinkhorn_iters": [-1, 1.5], "depth": [0, True],
         "width": [0, -16], "heads": [0], "mlp_ratio": [0], "lr": [0.0, -1e-3, NAN, INF],
         "weight_decay": [NAN, -0.1, INF], "warmup_frac": [-1, 1.5],
         "log_every": [0], "checkpoint_every_epochs": [0],

@@ -1,5 +1,7 @@
 """Position loss, Sinkhorn-Knopp pseudo-labels, cluster loss, entropy
 regularizer — closed-form cases plus gradient checks of the loss heads."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,19 @@ from hypothesis import strategies as st
 
 from patchpos import autodiff as ad
 from patchpos.autodiff import Tensor, finite_difference_check, no_grad
-from patchpos.objectives import (ClusterHead, LossReport, PositionHead,
-                                 cluster_objective, cluster_tail, flatten_correspondences,
-                                 position_loss, pseudo_labels, sinkhorn_knopp)
-from patchpos.views import Correspondence
+from patchpos.nn import Linear
+from patchpos.objectives import (ClusterHead, LossReport, cluster_objective, cluster_tail,
+                                 flatten_correspondences, position_loss, pseudo_labels,
+                                 sinkhorn_knopp)
 
 from reference import cluster_tail as composite_tail
-from reference import cross_entropy_from_logits, mean_entropy_regularizer, soft_cross_entropy
+from reference import (cross_entropy_from_logits, flatten_correspondences_per_view,
+                       mean_entropy_regularizer, soft_cross_entropy)
+
+
+def position_head(rng, width, n_ref, dtype=np.float32):
+    """The model's position head: a linear map to the reference grid."""
+    return Linear(rng, width, n_ref, dtype=dtype, std=0.01)
 
 
 # -- position loss -----------------------------------------------------------
@@ -21,12 +29,12 @@ from reference import cross_entropy_from_logits, mean_entropy_regularizer, soft_
 def test_uniform_logits_give_ln_nref():
     # Zero head weights -> uniform softmax -> loss = ln(N_ref) exactly.
     rng = np.random.default_rng(0)
-    head = PositionHead(rng, width=8, n_ref=196)
-    head.linear.w.data[:] = 0
-    head.linear.b.data[:] = 0
+    head = position_head(rng, width=8, n_ref=196)
+    head.w.data[:] = 0
+    head.b.data[:] = 0
     u = Tensor(rng.standard_normal((3, 4, 8)).astype(np.float32))
-    corrs = [Correspondence(rng.integers(0, 196, size=4)) for _ in range(3)]
-    loss, acc, omega = position_loss(u, head, corrs)
+    h = rng.integers(0, 196, size=(3, 4))
+    loss, acc, omega = position_loss(u, head, h)
     assert np.isclose(float(loss.data), np.log(196.0), atol=1e-5)
     assert omega == 12
 
@@ -34,10 +42,10 @@ def test_uniform_logits_give_ln_nref():
 def test_position_loss_respects_omega():
     # Patches with h = -1 contribute nothing.
     rng = np.random.default_rng(1)
-    head = PositionHead(rng, width=4, n_ref=10)
+    head = position_head(rng, width=4, n_ref=10)
     u = Tensor(rng.standard_normal((1, 3, 4)).astype(np.float32))
-    full = position_loss(u, head, [Correspondence([2, 5, 7])])
-    partial = position_loss(u, head, [Correspondence([2, -1, 7])])
+    full = position_loss(u, head, np.array([[2, 5, 7]]))
+    partial = position_loss(u, head, np.array([[2, -1, 7]]))
     assert partial[2] == 2
     # recompute by hand: mean of the two remaining cross-entropies
     logits = head(u).data[0]
@@ -49,67 +57,83 @@ def test_position_loss_respects_omega():
 
 def test_position_loss_empty_omega():
     rng = np.random.default_rng(2)
-    head = PositionHead(rng, width=4, n_ref=10)
+    head = position_head(rng, width=4, n_ref=10)
     u = Tensor(np.zeros((1, 2, 4), dtype=np.float32))
-    loss, acc, omega = position_loss(u, head, [Correspondence([-1, -1])])
+    loss, acc, omega = position_loss(u, head, np.array([[-1, -1]]))
     assert float(loss.data) == 0.0 and acc is None and omega == 0
 
 
 def test_position_loss_view_count_mismatch():
     rng = np.random.default_rng(3)
-    head = PositionHead(rng, width=4, n_ref=10)
-    with pytest.raises(ValueError):
-        position_loss(Tensor(np.zeros((2, 2, 4), dtype=np.float32)), head,
-                      [Correspondence([0, 1])])
+    head = position_head(rng, width=4, n_ref=10)
+    u = Tensor(np.zeros((2, 2, 4), dtype=np.float32))
+    for h in (np.array([[0, 1]]), np.array([[0, 1, 2], [0, 1, 2]]), np.array([0, 1])):
+        with pytest.raises(ValueError, match=re.escape(f"targets of shape {h.shape}")):
+            position_loss(u, head, h)
 
 
 def test_flatten_correspondences_weights():
     # Two views, 3 and 1 valid patches: per-view mean then average over views.
-    rows, targets, weights = flatten_correspondences(
-        [Correspondence([1, 2, 3, -1]), Correspondence([-1, -1, -1, 5])], n_q=4)
+    rows, targets, weights = flatten_correspondences(np.array([[1, 2, 3, -1], [-1, -1, -1, 5]]))
     assert np.array_equal(rows, [0, 1, 2, 7])
     assert np.array_equal(targets, [1, 2, 3, 5])
     assert np.allclose(weights, [1 / 6, 1 / 6, 1 / 6, 1 / 2])
     assert np.isclose(weights.sum(), 1.0)
 
 
+@settings(max_examples=200)
+@given(data=st.data(), views=st.integers(1, 12), n_q=st.integers(1, 20))
+def test_flatten_correspondences_matches_the_per_view_loop(data, views, n_q):
+    # rows of -1 (views with no valid patch) and all -1 arrays included
+    row = st.one_of(st.just([-1] * n_q),
+                    st.lists(st.integers(-1, 63), min_size=n_q, max_size=n_q))
+    h = np.array(data.draw(st.lists(row, min_size=views, max_size=views)), dtype=np.int64)
+    if data.draw(st.booleans()):
+        h[:] = -1
+    got = flatten_correspondences(h)
+    want = flatten_correspondences_per_view(h)
+    assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+    assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
+    assert got[2].dtype == want[2].dtype and got[2].tobytes() == want[2].tobytes()
+
+
 def test_position_loss_gradients():
     rng = np.random.default_rng(4)
-    head = PositionHead(rng, width=3, n_ref=5, dtype=np.float64)
+    head = position_head(rng, width=3, n_ref=5, dtype=np.float64)
     u = Tensor(np.random.default_rng(5).standard_normal((2, 2, 3)), requires_grad=True)
-    corrs = [Correspondence([1, -1]), Correspondence([4, 0])]
-    params = [u, head.linear.w, head.linear.b]
-    err = finite_difference_check(lambda *p: position_loss(p[0], head, corrs)[0], params)
+    h = np.array([[1, -1], [4, 0]])
+    params = [u, head.w, head.b]
+    err = finite_difference_check(lambda *p: position_loss(p[0], head, h)[0], params)
     assert err < 1e-4
 
 
 def test_position_loss_matches_the_composite_bit_for_bit():
     # the one cross_entropy node against the composite it replaced
     rng = np.random.default_rng(7)
-    head = PositionHead(rng, width=16, n_ref=64)
-    corrs = [Correspondence(rng.integers(-1, 64, size=20)) for _ in range(6)]
+    head = position_head(rng, width=16, n_ref=64)
+    h = rng.integers(-1, 64, size=(6, 20))
     x = rng.standard_normal((6, 20, 16)).astype(np.float32)
     u = Tensor(x, requires_grad=True)
-    loss = position_loss(u, head, corrs)[0]
+    loss = position_loss(u, head, h)[0]
     loss.backward()
-    got = (loss.data, u.grad, head.linear.w.grad)
-    head.linear.w.grad = None
+    got = (loss.data, u.grad, head.w.grad)
+    head.w.grad = None
     ref_u = Tensor(x, requires_grad=True)
-    rows, targets, weights = flatten_correspondences(corrs, 20)
+    rows, targets, weights = flatten_correspondences(h)
     picked = head(ref_u).reshape(120, 64)[rows]
     ref = (cross_entropy_from_logits(picked, targets)
            * Tensor(weights.astype(np.float32))).sum()
     ref.backward()
-    for g, w in zip(got, (ref.data, ref_u.grad, head.linear.w.grad)):
+    for g, w in zip(got, (ref.data, ref_u.grad, head.w.grad)):
         assert g.tobytes() == w.tobytes()
 
 
 def test_acc_at_1():
-    head = PositionHead(np.random.default_rng(6), width=2, n_ref=3)
-    head.linear.w.data[:] = 0
-    head.linear.b.data = np.array([0.0, 1.0, 0.0], dtype=np.float32)  # always picks 1
+    head = position_head(np.random.default_rng(6), width=2, n_ref=3)
+    head.w.data[:] = 0
+    head.b.data = np.array([0.0, 1.0, 0.0], dtype=np.float32)  # always picks 1
     u = Tensor(np.ones((1, 4, 2), dtype=np.float32))
-    _, acc, _ = position_loss(u, head, [Correspondence([1, 1, 0, 1])])
+    _, acc, _ = position_loss(u, head, np.array([[1, 1, 0, 1]]))
     assert np.isclose(acc, 0.75)
 
 

@@ -227,8 +227,21 @@ def test_finetune_needs_model_source(tmp_path):
     img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
     generate_synthetic_segmentation(img, lbl, 4, 32, 32, ["B2"], 0)
     fcfg = FinetuneConfig(dataset=str(img), labels=str(lbl), steps=1)
-    with pytest.raises(ValueError, match="checkpoint"):
+    with pytest.raises(ConfigFileError, match=re.escape(
+            "config key 'checkpoint': a pretraining checkpoint is required, got ''; random "
+            "initialization needs finetune(..., pretrain_cfg=...)")):
         finetune(fcfg)
+
+
+def test_finetune_checks_the_image_size_before_training(tmp_path, monkeypatch):
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 4, 60, 60, ["B2"], 0)
+    monkeypatch.setattr(segmenter, "SegmentationModel", None)     # never reached
+    fcfg = FinetuneConfig(dataset=str(img), labels=str(lbl), steps=1, batch_size=2)
+    with pytest.raises(ConfigFileError, match=re.escape(
+            f"config key 'patch_size': the 60x60 images of '{img}' are not divisible by "
+            f"patch size 8")):
+        finetune(fcfg, pretrain_cfg=PretrainConfig(depth=1, width=16, heads=2))
 
 
 @pytest.mark.parametrize("patch", [6, 32])
@@ -277,6 +290,46 @@ def test_finetune_rejects_a_checkpoint_of_another_shape(tmp_path, override, name
     other = PretrainConfig(**{**pcfg.to_dict(), **override})
     with pytest.raises(CheckpointError, match=re.escape(f"'{ckpt}': parameter '{name}'")):
         finetune(fcfg, pretrain_cfg=other, seed=0)
+
+
+@pytest.mark.parametrize("setting, trained, given, ok", [
+    ("all", ["B2", "B3", "B4", "B8"], ["B11", "B12", "DEM", "A-VV"], False),
+    ("all", ["B2", "B3", "B4"], ["B4", "B3", "B2"], False),     # all: the order counts
+    ("B2,B3|B4", ["B2", "B3", "B4"], ["B4", "B3", "B2"], True),  # a listing: the codes
+    ("B2,B3|B4", ["B2", "B3", "B4"], ["B8", "B2", "B3", "B4"], True),
+], ids=["all-other-bands", "all-reordered", "listing-reordered", "listing-extra-band"])
+def test_finetune_checks_the_checkpoints_bands(tmp_path, setting, trained, given, ok):
+    img, lbl = tmp_path / "s.mmr", tmp_path / "s.lbl"
+    generate_synthetic_segmentation(img, lbl, 4, 32, 32, given, 0)
+    pcfg = PretrainConfig(depth=1, width=16, heads=2, h_ref=32, h_q=16, group_setting=setting)
+    ckpt = tmp_path / "pre.ckpt"
+    pretraining_checkpoint(ckpt, pcfg, trained)
+    fcfg = FinetuneConfig(dataset=str(img), labels=str(lbl), checkpoint=str(ckpt), steps=1,
+                          batch_size=2)
+    if ok:
+        finetune(fcfg, seed=0)
+        return
+    with pytest.raises(ConfigFileError, match=re.escape(
+            f"checkpoint '{ckpt}' was trained with groups reading bands [{trained}], but "
+            f"dataset '{img}' gives them [{given}]")):
+        finetune(fcfg, seed=0)
+
+
+def test_load_finetuned_checks_the_bands(tmp_path):
+    pcfg = PretrainConfig(depth=1, width=16, heads=2, group_setting="all")
+    ckpt = tmp_path / "ft.ckpt"
+    save_finetuned(ckpt, SegmentationModel(pcfg, ["B2", "B3"], 2), FinetuneConfig())
+    assert load_checkpoint(ckpt)[1]["channel_tags"] == ["B2", "B3"]
+    load_finetuned(ckpt, ["B2", "B3"])
+    with pytest.raises(ConfigFileError, match=re.escape(
+            f"checkpoint '{ckpt}' was trained with groups reading bands [['B2', 'B3']], but "
+            f"a dataset with channels ['B11', 'B12'] gives them [['B11', 'B12']]")):
+        load_finetuned(ckpt, ["B11", "B12"])
+    arrays, meta = load_checkpoint(ckpt)
+    del meta["channel_tags"]
+    save_checkpoint(ckpt, arrays, meta)
+    with pytest.raises(CheckpointError, match=re.escape(f"'{ckpt}' stores no channel tags")):
+        load_finetuned(ckpt, ["B2", "B3"])
 
 
 def test_finetune_rejects_a_batch_larger_than_the_training_split(tmp_path):

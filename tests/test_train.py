@@ -72,6 +72,19 @@ def test_resume_matches_uninterrupted(dataset, tmp_path):
     assert got[:7] == want[:7]
 
 
+def test_resume_checks_the_checkpoints_bands(dataset, tmp_path):
+    # group_setting 'all' on three other bands: the shapes agree, the bands do not
+    null = open(os.devnull, "w")
+    first = pretrain(small_cfg(dataset), tmp_path / "run", max_steps=1, log_stream=null)
+    other = tmp_path / "other.mmr"
+    generate_synthetic_dataset(other, 16, 64, 64, ["B4", "B3", "B2"], seed=0)
+    with pytest.raises(ConfigFileError, match=re.escape(
+            f"checkpoint '{first['checkpoint']}' was trained with groups reading bands "
+            f"[['B2', 'B3', 'B4']], but dataset '{other}' gives them [['B4', 'B3', 'B2']]")):
+        pretrain(small_cfg(other), tmp_path / "again", resume=first["checkpoint"],
+                 log_stream=null)
+
+
 def test_resume_logs_every_step_once(dataset, tmp_path):
     import shutil
     cfg = small_cfg(dataset, epochs=3)  # 4 steps per epoch, 12 in all
